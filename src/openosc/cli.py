@@ -29,11 +29,7 @@ from .chain import (
 from .errors import ConvergenceError, DomainError
 from .gas import GasParams, joint_energy, q_min_gas
 from .open_system import effective_frequency, is_accessible, q_min_vibrational
-from .oracle import (
-    CONFIGURATION_CAP,
-    ModeSet,
-    gc_average_occupation,
-)
+from .oracle import ModeSet, gc_average_occupation
 from .series import reduced_series, reduced_series_bound
 from .spectra import OscillatorParams, mode_energy
 from .stats import StatisticsKind, Thermo, mean_particle_number, occupation_number
@@ -271,53 +267,12 @@ def _merge_params(
     return merged
 
 
-def _validate(kind: str, params: dict[str, Any]) -> None:
-    """Kind-specific preconditions, checked before any computation."""
-    if kind == "stats" and params["stat"] == "bose":
-        if not params["mu"] < 0.5 * params["hbar"] * params["omega"]:
-            raise DomainError(
-                "Bose stats require mu < hbar*omega/2 = "
-                f"{0.5 * params['hbar'] * params['omega']!r}, got {params['mu']!r}"
-            )
-    if kind == "bounds" and params["stat"] == "bose" and not params["mu"] < 0.5:
-        raise DomainError(f"Bose bounds require mu < 1/2, got {params['mu']!r}")
-    if kind == "oracle":
-        energies = params["energies"]
-        if energies is None:
-            energies = [
-                params["hbar"] * params["omega"] * (q + 0.5)
-                for q in range(params["qmax"] + 1)
-            ]
-        if not energies:
-            raise DomainError("oracle job needs at least one mode")
-        limit = 1 if params["stat"] == "fermi" else params["cutoff"]
-        if (limit + 1) ** len(energies) > CONFIGURATION_CAP:
-            raise DomainError(
-                f"{(limit + 1) ** len(energies)} configurations exceed the "
-                f"cap of {CONFIGURATION_CAP}"
-            )
-        if params["stat"] == "bose" and min(energies) <= params["mu"]:
-            raise DomainError(
-                "Bose oracle requires every mode energy above mu, got "
-                f"min energy {min(energies)!r} with mu {params['mu']!r}"
-            )
-    if kind == "chain" and params["levels"] is not None:
-        if len(params["levels"]) != params["count"]:
-            raise DomainError(
-                f"levels cover {len(params['levels'])} modes, chain has {params['count']}"
-            )
-        if any(q < 0 for q in params["levels"]):
-            raise DomainError("levels must be non-negative")
-    if kind == "sweep":
-        if params["steps"] < 1:
-            raise DomainError("steps must be at least 1")
-
-
 def parse_job(argv: Sequence[str]) -> Job:
     """Turn an argument vector into a validated Job.
 
     Raises UsageError for malformed input (unknown keys included) and
-    DomainError for well-formed input that violates a precondition.
+    DomainError for a value outside its parameter's range.  Physical
+    preconditions are the library's to check; they surface from run_job.
     """
     parser = _build_parser()
     try:
@@ -354,10 +309,7 @@ def parse_job(argv: Sequence[str]) -> Job:
             raise UsageError(
                 f"sweep parameter {swept!r} is not a numeric parameter of {inner_kind!r}"
             )
-        _validate(kind, params)
         inner = Job(inner_kind, inner_params)
-    else:
-        _validate(kind, params)
 
     output = Path(ns.output) if ns.output else None
     if output is None and "output" in config:
@@ -505,7 +457,6 @@ def _run_sweep(job: Job) -> Report:
     for value in grid:
         point = dict(inner.params)
         point[swept] = value
-        _validate(inner.kind, point)
         block = _RUNNERS[inner.kind](point)
         rows.extend((value,) + row for row in block.rows)
     return Report(meta, columns, rows)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ClosureError, DomainError
-from .open_system import q_min_vibrational
 from .spectra import OscillatorParams, mode_energy
 
 __all__ = [
@@ -118,8 +117,6 @@ def effective_energy_gas(occ: GasOccupationState, mu: float, g: GasParams) -> fl
 
 def q_min_gas(mu: float, k: int, g: GasParams) -> float:
     """Vibrational threshold at fixed ``k``; reduces to the pure ladder at ``k = 0``."""
-    if int(k) == 0:
-        return q_min_vibrational(mu, g.osc)
     return (mu - translational_energy(k, g)) / g.osc.quantum - 0.5
 
 

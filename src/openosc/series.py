@@ -20,8 +20,10 @@ analytic ceiling the numerics are checked against.
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .stats import StatisticsKind, Thermo, occupation_number
 from .summation import (
     SeriesResult,
     TruncationPolicy,
+    certified_sum,
     geom_tail0,
     geom_tail1,
     geom_tail2,
@@ -90,27 +93,21 @@ def reduced_series(
         raise ChemicalPotentialError(
             f"Bose reduced series requires mu < 1/2, got {mu!r}"
         )
+    return certified_sum(_reduced_steps(mu, kind), policy)
+
+
+def _reduced_steps(mu: float, kind: StatisticsKind) -> Iterator[tuple[float, int, float]]:
+    """One integer shell ``r`` per step."""
     t = Thermo(1.0, mu)
     x = math.exp(-1.0)
     c = math.exp(0.5 - mu)
-    value = 0.0
-    terms = 0
-    r = 0
-    while True:
+    bose = kind is StatisticsKind.BOSE
+    for r in itertools.count():
         mult = 2 * math.isqrt(r) + 1
+        d = 1.0 - math.exp(-(r + 1.0)) / c if bose else 1.0
         # occupation at energy r + 1/2 equals 1 / (C*exp(r) -+ 1) exactly
-        value += mult * r * occupation_number(r + 0.5, t, kind)
-        terms += mult
-        if kind is StatisticsKind.BOSE:
-            d = 1.0 - math.exp(-(r + 1.0)) / c
-        else:
-            d = 1.0
-        tail = 3.0 * geom_tail2(r + 1, x) / (c * d)
-        r += 1
-        if policy.satisfied(value, tail):
-            return SeriesResult(value, terms, tail, True)
-        if terms >= policy.max_terms:
-            return SeriesResult(value, terms, tail, False)
+        term = mult * r * occupation_number(r + 0.5, t, kind)
+        yield term, mult, 3.0 * geom_tail2(r + 1, x) / (c * d)
 
 
 def reduced_series_bound(mu: float) -> float:
@@ -129,60 +126,47 @@ def reduced_series_bound(mu: float) -> float:
 # exactly one q per admissible k and every (k, q) lands in exactly one shell.
 
 
-def _tail_after(
-    m: int,
+def _shell_sum(
     t: Thermo,
     g: GasParams,
     kind: StatisticsKind,
-    weight: str,
-) -> float:
-    """Bound on everything in shells > m for the given term weight."""
+    policy: TruncationPolicy,
+    alpha: float,
+    gamma: float,
+) -> SeriesResult:
+    """Certified ``sum_{k,q} (alpha*E + gamma) * n_{k,q}``, one shell per step."""
+    b = g.osc.quantum
+    if kind is StatisticsKind.BOSE and not t.mu < 0.5 * b:
+        raise ChemicalPotentialError(
+            f"Bose gas requires mu < hbar*omega/2 = {0.5 * b!r}, got {t.mu!r}"
+        )
+    return certified_sum(_shell_steps(t, g, kind, alpha, gamma), policy)
+
+
+def _shell_steps(
+    t: Thermo,
+    g: GasParams,
+    kind: StatisticsKind,
+    alpha: float,
+    gamma: float,
+) -> Iterator[tuple[float, int, float]]:
     b = g.osc.quantum
     a = g.translational_prefactor
     beta = t.beta
     x = math.exp(-beta * b)
     s = math.sqrt(b / a)
     boltz = _safe_exp(beta * t.mu)
-    if kind is StatisticsKind.FERMI:
-        cstat = boltz
-    else:
-        # smallest energy beyond shell m anchors the Bose enhancement factor
-        gap = b * (m + 1.5) - t.mu
-        cstat = boltz / (1.0 - math.exp(-beta * gap))
-    pref = cstat * math.exp(-0.5 * beta * b)
-    if weight == "count":
-        aa, bb, cc = 0.0, s, 2.0 * s + 1.0
-    else:
-        extra = abs(t.mu) if weight == "effective" else 0.0
-        w0 = 1.5 * b + extra
-        aa = s * b
-        bb = s * w0 + (2.0 * s + 1.0) * b
-        cc = (2.0 * s + 1.0) * w0
-    return pref * (
-        aa * geom_tail2(m + 1, x)
-        + bb * geom_tail1(m + 1, x)
-        + cc * geom_tail0(m + 1, x)
-    )
-
-
-def _shell_sum(
-    t: Thermo,
-    g: GasParams,
-    kind: StatisticsKind,
-    policy: TruncationPolicy,
-    weight: str,
-) -> SeriesResult:
-    b = g.osc.quantum
-    a = g.translational_prefactor
-    if kind is StatisticsKind.BOSE and not t.mu < 0.5 * b:
-        raise ChemicalPotentialError(
-            f"Bose gas requires mu < hbar*omega/2 = {0.5 * b!r}, got {t.mu!r}"
-        )
+    half = math.exp(-0.5 * beta * b)
+    # Shell r holds at most 2s*sqrt(r + 1) + 1 <= s*r + 2s + 1 terms, each of
+    # weight at most alpha*b*r + w0 with w0 = alpha*1.5*b + |gamma| and
+    # occupation at most cstat*half*x^r, so the shells after m add up to at
+    # most cstat*half*(aa*T2 + bb*T1 + cc*T0) with T_p = geom_tailp(m + 1, x).
+    w0 = alpha * 1.5 * b + abs(gamma)
+    aa = alpha * s * b
+    bb = s * w0 + alpha * (2.0 * s + 1.0) * b
+    cc = (2.0 * s + 1.0) * w0
     floors = [0]  # floor(u_k) for k = 0, 1, ...; grows as shells open up
-    value = 0.0
-    terms = 0
-    m = 0
-    while True:
+    for m in itertools.count():
         while True:
             k = len(floors)
             fu = math.floor(a * k * k / b)
@@ -190,27 +174,28 @@ def _shell_sum(
                 floors.append(fu)
             else:
                 break
+        subtotal = 0.0
+        count = 0
         for k, fu in enumerate(floors):
             q = m - fu
             if q < 0:
                 continue
             energy = a * k * k + b * (q + 0.5)
-            n = occupation_number(energy, t, kind)
-            if weight == "count":
-                w = 1.0
-            elif weight == "effective":
-                w = energy - t.mu
-            else:
-                w = energy
             mult = 1 if k == 0 else 2
-            value += mult * w * n
-            terms += mult
-        tail = _tail_after(m, t, g, kind, weight)
-        m += 1
-        if policy.satisfied(value, tail):
-            return SeriesResult(value, terms, tail, True)
-        if terms >= policy.max_terms:
-            return SeriesResult(value, terms, tail, False)
+            subtotal += mult * (alpha * energy + gamma) * occupation_number(energy, t, kind)
+            count += mult
+        if kind is StatisticsKind.FERMI:
+            cstat = boltz
+        else:
+            # smallest energy beyond shell m anchors the Bose enhancement factor
+            gap = b * (m + 1.5) - t.mu
+            cstat = boltz / (1.0 - math.exp(-beta * gap))
+        tail = (cstat * half) * (
+            aa * geom_tail2(m + 1, x)
+            + bb * geom_tail1(m + 1, x)
+            + cc * geom_tail0(m + 1, x)
+        )
+        yield subtotal, count, tail
 
 
 def equilibrium_effective_energy(
@@ -228,9 +213,8 @@ def equilibrium_effective_energy(
     with symmetric ``+-k`` pairs taken together; the tail bound covers
     all unvisited shells.
     """
-    return _shell_sum(
-        t, g, kind, policy or TruncationPolicy(), "effective" if mu_shifted else "energy"
-    )
+    gamma = -t.mu if mu_shifted else 0.0
+    return _shell_sum(t, g, kind, policy or TruncationPolicy(), 1.0, gamma)
 
 
 def equilibrium_particle_number(
@@ -240,7 +224,7 @@ def equilibrium_particle_number(
     policy: TruncationPolicy | None = None,
 ) -> SeriesResult:
     """Mean particle number ``sum_{k,q} n_{k,q}`` by the same shell scheme."""
-    return _shell_sum(t, g, kind, policy or TruncationPolicy(), "count")
+    return _shell_sum(t, g, kind, policy or TruncationPolicy(), 0.0, 1.0)
 
 
 # --- independent estimate checks --------------------------------------------

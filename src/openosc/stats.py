@@ -12,14 +12,16 @@ invalid arguments instead of returning a negative "occupation".
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import ChemicalPotentialError, DomainError
 from .gas import GasParams, joint_energy, q_min_gas, translational_energy
 from .spectra import OscillatorParams, mode_energy
-from .summation import SeriesResult, TruncationPolicy
+from .summation import SeriesResult, TruncationPolicy, certified_sum
 
 __all__ = [
     "StatisticsKind",
@@ -147,21 +149,23 @@ def mean_particle_number(
         raise ChemicalPotentialError(
             f"Bose ladder requires mu < hbar*omega/2 = {0.5 * p.quantum!r}, got {t.mu!r}"
         )
+    return certified_sum(_ladder_steps(t, p, kind), policy)
+
+
+def _ladder_steps(
+    t: Thermo, p: OscillatorParams, kind: StatisticsKind
+) -> Iterator[tuple[float, int, float]]:
+    """One level per step; the next level's energy anchors the tail and is reused."""
     ratio = math.exp(-t.beta * p.quantum)
-    value = 0.0
-    q = 0
-    while True:
-        value += occupation_number(mode_energy(q, p), t, kind)
-        x_next = t.beta * (mode_energy(q + 1, p) - t.mu)
+    energy = mode_energy(0, p)
+    for q in itertools.count(1):
+        term = occupation_number(energy, t, kind)
+        energy = mode_energy(q, p)
+        x_next = t.beta * (energy - t.mu)
         head = math.exp(-x_next) if x_next > -700.0 else math.inf
         if kind is StatisticsKind.BOSE:
             head /= 1.0 - math.exp(-x_next)
-        tail = head / (1.0 - ratio)
-        q += 1
-        if policy.satisfied(value, tail):
-            return SeriesResult(value, q, tail, True)
-        if q >= policy.max_terms:
-            return SeriesResult(value, q, tail, False)
+        yield term, 1, head / (1.0 - ratio)
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,21 @@
 Every truncated series in this package reports the partial value together
 with a mathematically valid bound on what was dropped.  ``converged``
 means the bound met the policy, never that terms "looked small".
+
+``certified_sum`` is the only adaptive loop in the package.  Each series
+supplies it an endless source of ``(term, count, tail)`` steps: ``term``
+is the step's contribution, ``count`` the number of series terms it
+covers, and ``tail`` must bound everything after that step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import DomainError
 
-__all__ = ["TruncationPolicy", "SeriesResult"]
+__all__ = ["TruncationPolicy", "SeriesResult", "certified_sum"]
 
 
 @dataclass(frozen=True)
@@ -47,6 +53,27 @@ class SeriesResult:
     terms_used: int
     tail_bound: float
     converged: bool
+
+
+def certified_sum(
+    steps: Iterable[tuple[float, int, float]], policy: TruncationPolicy
+) -> SeriesResult:
+    """Add steps until ``policy`` accepts the tail or ``max_terms`` is reached.
+
+    The result is ``converged`` only when the tail bound after the last
+    summed step meets the policy; hitting the term cap is reported with
+    ``converged=False`` and the tail bound at that point.
+    """
+    value = 0.0
+    terms = 0
+    for term, count, tail in steps:
+        value += term
+        terms += count
+        if policy.satisfied(value, tail):
+            return SeriesResult(value, terms, tail, True)
+        if terms >= policy.max_terms:
+            return SeriesResult(value, terms, tail, False)
+    raise ValueError("step source ended before the policy or the term cap stopped the sum")
 
 
 # --- closed-form tails of polynomial-times-geometric series -----------------

@@ -186,7 +186,7 @@ def test_stats_bose_domain_exits_3_before_compute(capsys):
     code = main(["stats", "--stat", "bose", "--mu", "0.6"])
     assert code == 3
     payload = json.loads(capsys.readouterr().err.splitlines()[-1])
-    assert payload["error"]["type"] == "DomainError"
+    assert payload["error"]["type"] == "ChemicalPotentialError"
     assert payload["error"]["job"] == "stats"
 
 
@@ -267,6 +267,20 @@ def test_sweep_threshold_moves_with_mu(tmp_path):
         open_counts[float(r[0])] += r[4] == "true"
     ordered = [open_counts[mu] for mu in sorted(open_counts)]
     assert ordered == sorted(ordered, reverse=True)
+
+
+def test_sweep_failing_mid_grid_writes_no_report(tmp_path, capsys):
+    # mu = 0 is valid for Bose stats; mu = 0.5 reaches hbar*omega/2 and fails.
+    code, target = run_to_file(
+        ["sweep", "--param", "mu", "--start", "0", "--stop", "1", "--steps", "3",
+         "stats", "--stat", "bose"],
+        tmp_path,
+    )
+    assert code == 3
+    assert not target.exists()
+    payload = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert payload["error"]["type"] == "ChemicalPotentialError"
+    assert payload["error"]["job"] == "sweep"
 
 
 def test_sweep_needs_numeric_parameter():

@@ -5,6 +5,7 @@ The brute-force oracle below evaluates the double sum over a rectangular
 the reference values before the adaptive implementation existed.
 """
 
+import itertools
 import math
 
 import pytest
@@ -24,7 +25,7 @@ from openosc import (
     reduced_series_bound,
     verify_series_estimates,
 )
-from openosc.summation import geom_tail0, geom_tail1, geom_tail2
+from openosc.summation import certified_sum, geom_tail0, geom_tail1, geom_tail2
 
 RG = GasParams.reduced()
 BOSE = StatisticsKind.BOSE
@@ -114,6 +115,29 @@ def test_reduced_series_non_convergence_is_reported():
     result = reduced_series(0.0, FERMI, policy)
     assert not result.converged
     assert result.tail_bound > 0.0
+    assert result.terms_used >= policy.max_terms
+    assert not policy.satisfied(result.value, result.tail_bound)
+
+
+@pytest.mark.parametrize("kind", [FERMI, BOSE], ids=["fermi", "bose"])
+@pytest.mark.parametrize(
+    "shell_sum",
+    [
+        lambda t, kind, policy: equilibrium_particle_number(t, RG, kind, policy),
+        lambda t, kind, policy: equilibrium_effective_energy(t, RG, kind, policy),
+        lambda t, kind, policy: equilibrium_effective_energy(
+            t, RG, kind, policy, mu_shifted=True
+        ),
+    ],
+    ids=["particle_number", "energy", "effective_energy"],
+)
+def test_shell_sum_non_convergence_is_reported(shell_sum, kind):
+    policy = TruncationPolicy(rel_tol=1e-10, abs_tol=1e-30, max_terms=5)
+    result = shell_sum(Thermo(1.0, 0.0), kind, policy)
+    assert not result.converged
+    assert result.terms_used >= policy.max_terms
+    assert result.tail_bound > 0.0
+    assert not policy.satisfied(result.value, result.tail_bound)
 
 
 def test_reduced_series_monotone_in_mu():
@@ -286,3 +310,22 @@ def test_truncation_policy_satisfied_rule():
     assert policy.satisfied(10.0, 0.009)
     assert not policy.satisfied(10.0, 0.011)
     assert policy.satisfied(0.0, 1e-7)
+
+
+def test_certified_sum_stops_on_policy_or_cap():
+    # sum_{r >= 0} 2^-r with the exact tail 2^-r after step r.
+    def halves(count):
+        return ((0.5**r, count, 0.5**r) for r in itertools.count())
+
+    met = certified_sum(halves(1), TruncationPolicy(rel_tol=1e-3, abs_tol=0.0))
+    assert met.converged
+    assert met.terms_used == 10  # first r with 2^-r <= 1e-3 * value is r = 9
+    assert met.value + met.tail_bound == 2.0
+
+    capped = certified_sum(halves(3), TruncationPolicy(rel_tol=1e-3, max_terms=7))
+    assert not capped.converged
+    assert capped.terms_used == 9  # a step's count may overshoot the cap
+    assert capped.tail_bound == 0.25
+
+    with pytest.raises(ValueError):
+        certified_sum(iter([(1.0, 1, 1.0)]), TruncationPolicy())

@@ -185,6 +185,7 @@ def test_ladder_mean_reports_non_convergence():
     assert not result.converged
     assert result.terms_used == 3
     assert result.tail_bound > 0.0
+    assert not policy.satisfied(result.value, result.tail_bound)
 
 
 def test_ladder_mean_certificate_brackets_a_longer_run():
