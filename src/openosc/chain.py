@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .spectra import OccupationState, OscillatorParams
+from .spectra import OccupationState, OscillatorParams, level_index
 
 __all__ = [
     "ChainParams",
@@ -59,12 +59,7 @@ class ChainAssignment:
     def __post_init__(self) -> None:
         if not self.levels:
             raise DomainError("assignment must cover at least one mode")
-        clean = []
-        for q in self.levels:
-            if q != int(q) or int(q) < 0:
-                raise DomainError(f"level index must be a non-negative integer, got {q!r}")
-            clean.append(int(q))
-        object.__setattr__(self, "levels", tuple(clean))
+        object.__setattr__(self, "levels", tuple(level_index(q) for q in self.levels))
 
     def level_groups(self) -> dict[int, tuple[int, ...]]:
         """Map ladder index ``q`` to the mode indices ``s`` (1-based) using it."""

@@ -56,7 +56,7 @@ class Job:
 
 @dataclass(frozen=True)
 class _Param:
-    type: str  # float | posfloat | int | nonneg | posint | stat | int_list | float_list
+    type: str  # float | nonneg | posint | stat | str | int_list | float_list
     default: Any = None
     required: bool = False
     help: str = ""
@@ -64,23 +64,23 @@ class _Param:
 
 _SPECS: dict[str, dict[str, _Param]] = {
     "spectrum": {
-        "omega": _Param("posfloat", 1.0, help="oscillator frequency"),
-        "hbar": _Param("posfloat", 1.0, help="reduced Planck constant"),
+        "omega": _Param("float", 1.0, help="oscillator frequency"),
+        "hbar": _Param("float", 1.0, help="reduced Planck constant"),
         "mu": _Param("float", 0.0, help="chemical potential"),
         "qmax": _Param("nonneg", 10, help="highest ladder level reported"),
     },
     "gas": {
-        "omega": _Param("posfloat", 1.0),
-        "hbar": _Param("posfloat", 1.0),
-        "mass": _Param("posfloat", 1.0),
-        "box_length": _Param("posfloat", 1.0, help="periodic box length"),
+        "omega": _Param("float", 1.0),
+        "hbar": _Param("float", 1.0),
+        "mass": _Param("float", 1.0),
+        "box_length": _Param("float", 1.0, help="periodic box length"),
         "mu": _Param("float", 0.0),
         "kmax": _Param("nonneg", 5, help="half-width of the k range"),
         "qmax": _Param("nonneg", 10),
     },
     "chain": {
-        "omega": _Param("posfloat", 1.0),
-        "hbar": _Param("posfloat", 1.0),
+        "omega": _Param("float", 1.0),
+        "hbar": _Param("float", 1.0),
         "count": _Param("posint", required=True, help="number of chain sites"),
         "coupling": _Param("float", 0.0, help="nearest-neighbour coupling"),
         "mu": _Param("float", 0.0),
@@ -88,25 +88,25 @@ _SPECS: dict[str, dict[str, _Param]] = {
     },
     "stats": {
         "stat": _Param("stat", required=True, help="bose or fermi"),
-        "beta": _Param("posfloat", 1.0, help="inverse temperature"),
+        "beta": _Param("float", 1.0, help="inverse temperature"),
         "mu": _Param("float", 0.0),
-        "omega": _Param("posfloat", 1.0),
-        "hbar": _Param("posfloat", 1.0),
-        "rel_tol": _Param("posfloat", 1e-10, help="relative truncation tolerance"),
+        "omega": _Param("float", 1.0),
+        "hbar": _Param("float", 1.0),
+        "rel_tol": _Param("float", 1e-10, help="relative truncation tolerance"),
         "max_terms": _Param("posint", 10_000_000, help="term cap for the adaptive sum"),
     },
     "bounds": {
         "stat": _Param("stat", required=True),
         "mu": _Param("float", 0.0),
-        "rel_tol": _Param("posfloat", 1e-10),
+        "rel_tol": _Param("float", 1e-10),
         "max_terms": _Param("posint", 10_000_000),
     },
     "oracle": {
         "stat": _Param("stat", required=True),
-        "beta": _Param("posfloat", 1.0),
+        "beta": _Param("float", 1.0),
         "mu": _Param("float", 0.0),
-        "omega": _Param("posfloat", 1.0),
-        "hbar": _Param("posfloat", 1.0),
+        "omega": _Param("float", 1.0),
+        "hbar": _Param("float", 1.0),
         "qmax": _Param("nonneg", 4, help="ladder modes 0..qmax when no energies given"),
         "cutoff": _Param("nonneg", 8, help="per-mode count cap for Bose enumeration"),
         "energies": _Param("float_list", None, help="explicit mode energies, e.g. 0.5,1.5"),
@@ -133,17 +133,14 @@ def _convert(name: str, spec: _Param, raw: Any, source: str) -> Any:
     def fail(expected: str) -> UsageError:
         return UsageError(f"{source} value for {name!r} must be {expected}, got {raw!r}")
 
-    if spec.type in ("float", "posfloat"):
+    if spec.type == "float":
         if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
             raise fail("a number")
         try:
-            value = float(raw)
+            return float(raw)
         except ValueError:
             raise fail("a number") from None
-        if spec.type == "posfloat" and not value > 0.0:
-            raise DomainError(f"{name} must be positive, got {value!r}")
-        return value
-    if spec.type in ("int", "nonneg", "posint"):
+    if spec.type in ("nonneg", "posint"):
         if isinstance(raw, bool) or not isinstance(raw, (int, str)):
             raise fail("an integer")
         try:
@@ -271,8 +268,9 @@ def parse_job(argv: Sequence[str]) -> Job:
     """Turn an argument vector into a validated Job.
 
     Raises UsageError for malformed input (unknown keys included) and
-    DomainError for a value outside its parameter's range.  Physical
-    preconditions are the library's to check; they surface from run_job.
+    DomainError for an integer bound of the CLI's own loops (sizes, sweep
+    steps) out of range.  Physical preconditions are the library's to
+    check; they surface from run_job.
     """
     parser = _build_parser()
     try:
@@ -305,7 +303,7 @@ def parse_job(argv: Sequence[str]) -> Job:
         )
         swept = params["param"]
         ispec = _SPECS[inner_kind]
-        if swept not in ispec or ispec[swept].type not in ("float", "posfloat"):
+        if swept not in ispec or ispec[swept].type != "float":
             raise UsageError(
                 f"sweep parameter {swept!r} is not a numeric parameter of {inner_kind!r}"
             )
@@ -419,10 +417,11 @@ def _run_bounds(params: dict[str, Any]) -> Report:
 def _run_oracle(params: dict[str, Any]) -> Report:
     kind = StatisticsKind.from_name(params["stat"])
     t = Thermo(params["beta"], params["mu"])
+    # Built even when explicit energies make it unused, so bad --omega or --hbar still fail.
+    p = OscillatorParams(hbar=params["hbar"], omega=params["omega"])
     if params["energies"] is not None:
         modes = ModeSet(tuple(params["energies"]))
     else:
-        p = OscillatorParams(hbar=params["hbar"], omega=params["omega"])
         modes = ModeSet.from_oscillator(p, params["qmax"])
     cutoff = 1 if kind is StatisticsKind.FERMI else params["cutoff"]
     means = gc_average_occupation(modes, t, kind, cutoff)

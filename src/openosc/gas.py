@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
-from .errors import ClosureError, DomainError
-from .spectra import OscillatorParams, mode_energy
+from .errors import DomainError
+from .spectra import OccupationState, OscillatorParams, level_index, mode_energy
 
 __all__ = [
     "GasParams",
@@ -40,6 +39,16 @@ class GasParams:
     def __post_init__(self) -> None:
         if not self.box_length > 0.0:
             raise DomainError(f"box_length must be positive, got {self.box_length!r}")
+        # An infinite prefactor would make eps_0 = prefactor * 0 a nan; a zero
+        # one would erase the free branch.
+        try:
+            prefactor = self.translational_prefactor
+        except (OverflowError, ZeroDivisionError):
+            prefactor = math.inf
+        if not 0.0 < prefactor < math.inf:
+            raise DomainError(
+                f"translational prefactor must be finite and positive, got {prefactor!r}"
+            )
 
     @property
     def translational_prefactor(self) -> float:
@@ -57,11 +66,16 @@ class GasParams:
         return cls(OscillatorParams(hbar=1.0, mass=2.0 * math.pi**2, omega=1.0), 1.0)
 
 
-def translational_energy(k: int, g: GasParams) -> float:
-    """Free-motion energy ``prefactor * k^2`` for signed integer ``k``."""
+def _translational_index(k: int) -> int:
     if k != int(k):
         raise DomainError(f"translational index must be an integer, got {k!r}")
-    return g.translational_prefactor * (int(k) * int(k))
+    return int(k)
+
+
+def translational_energy(k: int, g: GasParams) -> float:
+    """Free-motion energy ``prefactor * k^2`` for signed integer ``k``."""
+    k = _translational_index(k)
+    return g.translational_prefactor * (k * k)
 
 
 def joint_energy(k: int, q: int, g: GasParams) -> float:
@@ -70,43 +84,13 @@ def joint_energy(k: int, q: int, g: GasParams) -> float:
 
 
 @dataclass(frozen=True)
-class GasOccupationState:
+class GasOccupationState(OccupationState):
     """Sparse occupation map ``(k, q) -> n`` over the joint spectrum."""
 
-    occupations: Mapping[tuple[int, int], int]
-    total: int | None = None
-
-    def __post_init__(self) -> None:
-        clean: dict[tuple[int, int], int] = {}
-        for key, n in self.occupations.items():
-            k, q = key
-            if k != int(k):
-                raise DomainError(f"translational index must be an integer, got {k!r}")
-            if q != int(q) or int(q) < 0:
-                raise DomainError(f"level index must be a non-negative integer, got {q!r}")
-            if n != int(n) or int(n) < 0:
-                raise DomainError(f"occupation count must be a non-negative integer, got {n!r}")
-            if int(n) > 0:
-                clean[(int(k), int(q))] = int(n)
-        object.__setattr__(self, "occupations", clean)
-        derived = sum(clean.values())
-        if self.total is None:
-            object.__setattr__(self, "total", derived)
-        elif int(self.total) != derived:
-            raise ClosureError(
-                f"declared total {self.total} != summed occupations {derived}"
-            )
-
-    def items(self) -> list[tuple[tuple[int, int], int]]:
-        """Occupied ``((k, q), n)`` entries ordered by ``(k, q)``."""
-        return sorted(self.occupations.items())
-
-    def validate(self) -> None:
-        derived = sum(self.occupations.values())
-        if derived != self.total:
-            raise ClosureError(
-                f"declared total {self.total} != summed occupations {derived}"
-            )
+    @staticmethod
+    def _level(key: tuple[int, int]) -> tuple[int, int]:
+        k, q = key
+        return (_translational_index(k), level_index(q))
 
 
 def effective_energy_gas(occ: GasOccupationState, mu: float, g: GasParams) -> float:

@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .spectra import OccupationState, OscillatorParams, mode_energy
+from .spectra import OccupationState, OscillatorParams, level_index, mode_energy
 
 __all__ = [
     "FermionClass",
@@ -49,9 +49,7 @@ def q_min_vibrational(mu: float, p: OscillatorParams) -> float:
 
 def is_accessible(q: int, mu: float, p: OscillatorParams) -> bool:
     """Strict accessibility test ``q > q_min``; the boundary level is excluded."""
-    if q != int(q) or int(q) < 0:
-        raise DomainError(f"level index must be a non-negative integer, got {q!r}")
-    return q > q_min_vibrational(mu, p)
+    return level_index(q) > q_min_vibrational(mu, p)
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import ClosureError, DomainError
 
 __all__ = [
     "OscillatorParams",
     "OccupationState",
+    "level_index",
     "mode_energy",
     "ensemble_energy",
 ]
@@ -55,59 +56,68 @@ class OscillatorParams:
         return self.hbar * self.omega
 
 
+def level_index(q: int) -> int:
+    """Return ladder index ``q`` as an ``int``; reject negative or fractional ones."""
+    if q != int(q) or int(q) < 0:
+        raise DomainError(f"level index must be a non-negative integer, got {q!r}")
+    return int(q)
+
+
 @dataclass(frozen=True)
 class OccupationState:
     """Sparse occupation map ``q -> n_q`` with a validated particle total.
 
     Zero counts are dropped on construction.  If ``total`` is supplied it
     must equal the summed counts; a mismatch raises :class:`ClosureError`
-    instead of being patched over, because a state whose declared total
+    instead of being patched over, because a state whose stated total
     disagrees with its occupations carries no trustworthy information.
+    Keys pass through :meth:`_level`, which subclasses override to index
+    other spectra.
     """
 
     occupations: Mapping[int, int]
     total: int | None = None
 
+    @staticmethod
+    def _level(key: Any) -> Any:
+        return level_index(key)
+
     def __post_init__(self) -> None:
-        clean: dict[int, int] = {}
-        for q, n in self.occupations.items():
-            if q != int(q) or int(q) < 0:
-                raise DomainError(f"level index must be a non-negative integer, got {q!r}")
+        clean = {}
+        for key, n in self.occupations.items():
+            level = self._level(key)
             if n != int(n) or int(n) < 0:
                 raise DomainError(f"occupation count must be a non-negative integer, got {n!r}")
             if int(n) > 0:
-                clean[int(q)] = int(n)
+                clean[level] = int(n)
         object.__setattr__(self, "occupations", clean)
-        derived = sum(clean.values())
         if self.total is None:
-            object.__setattr__(self, "total", derived)
-        elif int(self.total) != derived:
-            raise ClosureError(
-                f"declared total {self.total} != summed occupations {derived}"
-            )
+            object.__setattr__(self, "total", sum(clean.values()))
+        self.validate()
 
     @classmethod
     def from_levels(cls, levels: Iterable[int]) -> "OccupationState":
         """Build a state from one ladder index per particle."""
         return cls(dict(Counter(int(q) for q in levels)))
 
-    def items(self) -> list[tuple[int, int]]:
-        """Occupied ``(q, n_q)`` pairs in ascending level order."""
+    def items(self) -> list[tuple[Any, int]]:
+        """Occupied ``(key, n)`` pairs in ascending key order."""
         return sorted(self.occupations.items())
 
-    def __iter__(self) -> Iterator[tuple[int, int]]:
+    def __iter__(self) -> Iterator[tuple[Any, int]]:
         return iter(self.items())
 
     def validate(self) -> None:
-        """Re-check closure; guards against mutation of the backing map."""
+        """Re-check closure and keys; guards against mutation of the backing map."""
         derived = sum(self.occupations.values())
         if derived != self.total:
             raise ClosureError(
                 f"declared total {self.total} != summed occupations {derived}"
             )
-        for q, n in self.occupations.items():
-            if q < 0 or n < 0:
-                raise DomainError(f"invalid entry q={q!r}, n={n!r}")
+        for key, n in self.occupations.items():
+            self._level(key)
+            if n < 0:
+                raise DomainError(f"invalid entry q={key!r}, n={n!r}")
 
 
 def mode_energy(q: int, p: OscillatorParams) -> float:
@@ -118,6 +128,7 @@ def mode_energy(q: int, p: OscillatorParams) -> float:
     DomainError
         If ``q`` is negative or not an integer.
     """
+    # Inline rather than level_index(q): this runs once per summed term.
     if q != int(q) or int(q) < 0:
         raise DomainError(f"level index must be a non-negative integer, got {q!r}")
     return p.quantum * (q + 0.5)

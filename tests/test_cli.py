@@ -283,6 +283,40 @@ def test_sweep_failing_mid_grid_writes_no_report(tmp_path, capsys):
     assert payload["error"]["job"] == "sweep"
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["stats", "--stat", "fermi", "--beta", "0"], "beta must be positive, got 0.0"),
+        (["gas", "--box-length", "0"], "box_length must be positive, got 0.0"),
+        (["bounds", "--stat", "fermi", "--rel-tol", "-1"], "rel_tol must be positive, got -1.0"),
+        (
+            ["oracle", "--stat", "fermi", "--energies", "0.5,1.5", "--omega", "-1"],
+            "omega must be positive, got -1.0",
+        ),
+        (
+            ["sweep", "--param", "mu", "--start", "0", "--stop", "1", "--steps", "2",
+             "stats", "--stat", "fermi", "--beta", "-1"],
+            "beta must be positive, got -1.0",
+        ),
+        (
+            ["gas", "--box-length", "1e-170"],
+            "translational prefactor must be finite and positive, got inf",
+        ),
+    ],
+    ids=["stats-beta", "gas-box-length", "bounds-rel-tol", "oracle-omega",
+         "sweep-inner-beta", "gas-prefactor"],
+)
+def test_physical_range_errors_exit_3_without_report(args, message, tmp_path, capsys):
+    # The CLI leaves these range checks to the library; each must still
+    # exit 3 with the library's message and write nothing.
+    code, target = run_to_file(args, tmp_path)
+    assert code == 3
+    assert not target.exists()
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+    assert error["type"] == "DomainError"
+    assert error["message"] == message
+
+
 def test_sweep_needs_numeric_parameter():
     with pytest.raises(UsageError):
         parse_job(["sweep", "--param", "stat", "--start", "0", "--stop", "1",

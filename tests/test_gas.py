@@ -55,6 +55,15 @@ def test_translational_energy_rejects_fractional_k():
 def test_box_length_validation():
     with pytest.raises(DomainError):
         GasParams(OscillatorParams(), box_length=0.0)
+    # A translational prefactor that overflows or whose denominator
+    # underflows to zero would put nan or inf into eps_0.
+    for osc, box_length in (
+        (OscillatorParams(hbar=1.3e154), 1.0),
+        (OscillatorParams(mass=1e-320), 1.0),
+        (OscillatorParams(), 1e-170),
+    ):
+        with pytest.raises(DomainError, match="translational prefactor"):
+            GasParams(osc, box_length)
 
 
 def test_joint_energy_adds_the_two_branches():
@@ -107,6 +116,11 @@ def test_gas_occupation_state_drops_zeros_and_validates():
         GasOccupationState({(0, -1): 1})
     with pytest.raises(DomainError):
         GasOccupationState({(0, 0): -2})
+    with pytest.raises(DomainError):
+        GasOccupationState({(0.5, 0): 1})
+    state.occupations[(1, 1)] = 2
+    with pytest.raises(ClosureError):
+        state.validate()
 
 
 def test_q_min_gas_reduces_to_ladder_at_k0():

@@ -126,6 +126,8 @@ def test_occupation_state_declared_total_checked():
     OccupationState({0: 2}, total=2)
     with pytest.raises(ClosureError):
         OccupationState({0: 2}, total=3)
+    with pytest.raises(ClosureError):
+        OccupationState({0: 2}, total=2.5)
 
 
 def test_occupation_state_rejects_negative_count():
