@@ -1,9 +1,10 @@
 """Command line front end: batch jobs rendered as CSV or JSON reports.
 
 One executable, one subcommand per job kind.  Parameters come from flags
-or from a JSON config file (flags win key by key); every applied default
-is echoed in the output metadata and reports contain nothing volatile,
-so re-running a job reproduces its output byte for byte.
+or from a JSON config file (flags win key by key); every parameter that
+has a value, defaults included, is echoed in the output metadata and
+reports contain nothing volatile, so re-running a job reproduces its
+output byte for byte.
 
 Exit codes: 0 success, 2 usage or config error, 3 domain/precondition
 error, 4 numerical non-convergence.
@@ -16,7 +17,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .chain import (
     ChainAssignment,
@@ -29,11 +30,11 @@ from .chain import (
 from .errors import ConvergenceError, DomainError
 from .gas import GasParams, joint_energy, q_min_gas
 from .open_system import effective_frequency, is_accessible, q_min_vibrational
-from .oracle import ModeSet, gc_average_occupation
+from .oracle import ModeSet, gc_average_occupation, per_mode_limit
 from .series import reduced_series, reduced_series_bound
 from .spectra import OscillatorParams, mode_energy
 from .stats import StatisticsKind, Thermo, mean_particle_number, occupation_number
-from .summation import TruncationPolicy
+from .summation import SeriesResult, TruncationPolicy
 
 __all__ = ["Job", "UsageError", "parse_job", "run_job", "execute_job", "main"]
 
@@ -62,70 +63,13 @@ class _Param:
     help: str = ""
 
 
-_SPECS: dict[str, dict[str, _Param]] = {
-    "spectrum": {
-        "omega": _Param("float", 1.0, help="oscillator frequency"),
-        "hbar": _Param("float", 1.0, help="reduced Planck constant"),
-        "mu": _Param("float", 0.0, help="chemical potential"),
-        "qmax": _Param("nonneg", 10, help="highest ladder level reported"),
-    },
-    "gas": {
-        "omega": _Param("float", 1.0),
-        "hbar": _Param("float", 1.0),
-        "mass": _Param("float", 1.0),
-        "box_length": _Param("float", 1.0, help="periodic box length"),
-        "mu": _Param("float", 0.0),
-        "kmax": _Param("nonneg", 5, help="half-width of the k range"),
-        "qmax": _Param("nonneg", 10),
-    },
-    "chain": {
-        "omega": _Param("float", 1.0),
-        "hbar": _Param("float", 1.0),
-        "count": _Param("posint", required=True, help="number of chain sites"),
-        "coupling": _Param("float", 0.0, help="nearest-neighbour coupling"),
-        "mu": _Param("float", 0.0),
-        "levels": _Param("int_list", None, help="ladder index per mode, e.g. 0,0,1"),
-    },
-    "stats": {
-        "stat": _Param("stat", required=True, help="bose or fermi"),
-        "beta": _Param("float", 1.0, help="inverse temperature"),
-        "mu": _Param("float", 0.0),
-        "omega": _Param("float", 1.0),
-        "hbar": _Param("float", 1.0),
-        "rel_tol": _Param("float", 1e-10, help="relative truncation tolerance"),
-        "max_terms": _Param("posint", 10_000_000, help="term cap for the adaptive sum"),
-    },
-    "bounds": {
-        "stat": _Param("stat", required=True),
-        "mu": _Param("float", 0.0),
-        "rel_tol": _Param("float", 1e-10),
-        "max_terms": _Param("posint", 10_000_000),
-    },
-    "oracle": {
-        "stat": _Param("stat", required=True),
-        "beta": _Param("float", 1.0),
-        "mu": _Param("float", 0.0),
-        "omega": _Param("float", 1.0),
-        "hbar": _Param("float", 1.0),
-        "qmax": _Param("nonneg", 4, help="ladder modes 0..qmax when no energies given"),
-        "cutoff": _Param("nonneg", 8, help="per-mode count cap for Bose enumeration"),
-        "energies": _Param("float_list", None, help="explicit mode energies, e.g. 0.5,1.5"),
-    },
-    "sweep": {
-        "param": _Param("str", "mu", help="numeric parameter of the inner job to sweep"),
-        "start": _Param("float", required=True),
-        "stop": _Param("float", required=True),
-        "steps": _Param("posint", 7),
-    },
-}
-
-_COLUMNS: dict[str, tuple[str, ...]] = {
-    "spectrum": ("q", "energy", "omega_eff", "accessible"),
-    "gas": ("k", "q", "energy", "effective_term", "q_min_k"),
-    "chain": ("s", "omega_s"),
-    "stats": ("level", "occupation"),
-    "bounds": ("mu", "S_numeric", "tail_bound", "lemma_bound", "pass"),
-    "oracle": ("mode", "closed_form", "oracle_value", "abs_error"),
+# A sweep repeats an inner job of any kind in _KINDS over a grid of one of its
+# float parameters.
+_SWEEP_PARAMS = {
+    "param": _Param("str", "mu", help="numeric parameter of the inner job to sweep"),
+    "start": _Param("float", required=True),
+    "stop": _Param("float", required=True),
+    "steps": _Param("posint", 7),
 }
 
 
@@ -170,6 +114,10 @@ def _convert(name: str, spec: _Param, raw: Any, source: str) -> Any:
             parts = list(raw)
         else:
             raise fail("a comma-separated list")
+        # Elements follow the scalar rules: booleans are not numbers, ints are integral.
+        if any(isinstance(p, bool) or cast is int and isinstance(p, float) and not p.is_integer()
+               for p in parts):
+            raise fail(f"a list of {cast.__name__}s")
         try:
             return [cast(p) for p in parts]
         except (ValueError, TypeError):
@@ -180,8 +128,8 @@ def _convert(name: str, spec: _Param, raw: Any, source: str) -> Any:
 # --- parsing -----------------------------------------------------------------
 
 
-def _add_kind_args(parser: argparse.ArgumentParser, kind: str) -> None:
-    for name, spec in _SPECS[kind].items():
+def _add_kind_args(parser: argparse.ArgumentParser, params: dict[str, _Param]) -> None:
+    for name, spec in params.items():
         flag = "--" + name.replace("_", "-")
         parser.add_argument(flag, dest=name, default=None, help=spec.help or None)
 
@@ -198,25 +146,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Effective spectra and occupation statistics of open oscillator systems.",
     )
     sub = parser.add_subparsers(dest="kind", required=True)
-    descriptions = {
-        "spectrum": "ladder energies, effective frequencies and accessibility",
-        "gas": "joint translational-vibrational levels and thresholds",
-        "chain": "normal-mode frequencies and assignment energies",
-        "stats": "mean occupations of one ladder",
-        "bounds": "reduced series against its analytic ceiling",
-        "oracle": "closed-form occupations against brute-force enumeration",
-    }
-    for kind, desc in descriptions.items():
-        p = sub.add_parser(kind, help=desc)
-        _add_kind_args(p, kind)
+    for kind, spec in _KINDS.items():
+        p = sub.add_parser(kind, help=spec.help)
+        _add_kind_args(p, spec.params)
         _add_io_args(p)
     sweep = sub.add_parser("sweep", help="repeat an inner job over a parameter grid")
-    _add_kind_args(sweep, "sweep")
+    _add_kind_args(sweep, _SWEEP_PARAMS)
     _add_io_args(sweep)
     inner = sweep.add_subparsers(dest="inner_kind")
-    for ik in descriptions:
-        ip = inner.add_parser(ik)
-        _add_kind_args(ip, ik)
+    for kind, spec in _KINDS.items():
+        _add_kind_args(inner.add_parser(kind), spec.params)
     return parser
 
 
@@ -240,7 +179,7 @@ def _merge_params(
     config: dict[str, Any],
     config_label: str,
 ) -> dict[str, Any]:
-    spec = _SPECS[kind]
+    spec = _SWEEP_PARAMS if kind == "sweep" else _KINDS[kind].params
     known = set(spec) | {"kind", "output", "format", "job"}
     for key in config:
         if key not in known:
@@ -294,15 +233,13 @@ def parse_job(argv: Sequence[str]) -> Job:
             inner_kind = inner_cfg.get("kind")
             if inner_kind is None:
                 raise UsageError("sweep needs an inner job (subcommand or config 'job')")
-            if inner_kind not in _COLUMNS:
+            if inner_kind not in _KINDS:
                 raise UsageError(f"unknown inner job kind {inner_kind!r}")
-        if inner_kind == "sweep":
-            raise UsageError("sweep cannot nest another sweep")
         inner_params = _merge_params(
             inner_kind, flags, inner_cfg, "config[job]"
         )
         swept = params["param"]
-        ispec = _SPECS[inner_kind]
+        ispec = _KINDS[inner_kind].params
         if swept not in ispec or ispec[swept].type != "float":
             raise UsageError(
                 f"sweep parameter {swept!r} is not a numeric parameter of {inner_kind!r}"
@@ -322,26 +259,32 @@ def parse_job(argv: Sequence[str]) -> Job:
 
 # --- execution ---------------------------------------------------------------
 
+Rows = list[tuple[Any, ...]]
+
 
 @dataclass
 class Report:
     metadata: dict[str, Any]
     columns: tuple[str, ...]
-    rows: list[tuple[Any, ...]] = field(default_factory=list)
+    rows: Rows = field(default_factory=list)
 
 
-def _run_spectrum(params: dict[str, Any]) -> Report:
+# A runner returns only what is specific to its kind: extra metadata and the
+# report rows.  run_job builds every report from them.
+
+
+def _run_spectrum(params: dict[str, Any]) -> tuple[dict[str, Any], Rows]:
     p = OscillatorParams(hbar=params["hbar"], omega=params["omega"])
     mu = params["mu"]
-    meta = dict(params, job="spectrum", q_min=q_min_vibrational(mu, p))
+    extra = {"q_min": q_min_vibrational(mu, p)}
     rows = [
         (q, mode_energy(q, p), effective_frequency(q, mu, p), is_accessible(q, mu, p))
         for q in range(params["qmax"] + 1)
     ]
-    return Report(meta, _COLUMNS["spectrum"], rows)
+    return extra, rows
 
 
-def _run_gas(params: dict[str, Any]) -> Report:
+def _run_gas(params: dict[str, Any]) -> tuple[dict[str, Any], Rows]:
     p = OscillatorParams(hbar=params["hbar"], mass=params["mass"], omega=params["omega"])
     g = GasParams(p, params["box_length"])
     mu = params["mu"]
@@ -351,70 +294,65 @@ def _run_gas(params: dict[str, Any]) -> Report:
         for q in range(params["qmax"] + 1):
             energy = joint_energy(k, q, g)
             rows.append((k, q, energy, energy - mu, threshold))
-    return Report(dict(params, job="gas"), _COLUMNS["gas"], rows)
+    return {}, rows
 
 
-def _run_chain(params: dict[str, Any]) -> Report:
+def _run_chain(params: dict[str, Any]) -> tuple[dict[str, Any], Rows]:
     ch = ChainParams(
         params["count"],
         OscillatorParams(hbar=params["hbar"], omega=params["omega"]),
         params["coupling"],
     )
     freqs = chain_frequencies(ch)
-    meta = dict(params, job="chain")
-    if params["levels"] is None:
-        meta.pop("levels")
-    else:
+    extra = {}
+    if params["levels"] is not None:
         a = ChainAssignment(tuple(params["levels"]))
         grouped = grouped_form_energy(a, params["mu"], ch)
-        meta["chain_energy"] = chain_energy(a, ch)
-        meta["chain_effective_energy"] = chain_effective_energy(a, params["mu"], ch)
-        meta["grouped_energy"] = grouped.value
-        meta["grouped_discrepancy"] = grouped.discrepancy
-    rows = [(s, w) for s, w in enumerate(freqs, start=1)]
-    return Report(meta, _COLUMNS["chain"], rows)
+        extra = {
+            "chain_energy": chain_energy(a, ch),
+            "chain_effective_energy": chain_effective_energy(a, params["mu"], ch),
+            "grouped_energy": grouped.value,
+            "grouped_discrepancy": grouped.discrepancy,
+        }
+    return extra, list(enumerate(freqs, start=1))
 
 
-def _run_stats(params: dict[str, Any]) -> Report:
+def _converged(result: SeriesResult, what: str, policy: TruncationPolicy) -> SeriesResult:
+    """Pass a converged sum through; one that hit the term cap fails the job (exit 4)."""
+    if not result.converged:
+        raise ConvergenceError(f"{what} did not converge within {policy.max_terms} terms")
+    return result
+
+
+def _run_stats(params: dict[str, Any]) -> tuple[dict[str, Any], Rows]:
     kind = StatisticsKind.from_name(params["stat"])
     t = Thermo(params["beta"], params["mu"])
     p = OscillatorParams(hbar=params["hbar"], omega=params["omega"])
     policy = TruncationPolicy(rel_tol=params["rel_tol"], max_terms=params["max_terms"])
-    result = mean_particle_number(t, p, kind, policy)
-    if not result.converged:
-        raise ConvergenceError(
-            f"mean particle number did not converge within {policy.max_terms} terms"
-        )
-    meta = dict(
-        params,
-        job="stats",
-        mean=result.value,
-        tail_bound=result.tail_bound,
-        terms_used=result.terms_used,
-        converged=result.converged,
-    )
+    result = _converged(mean_particle_number(t, p, kind, policy), "mean particle number", policy)
+    extra = {
+        "mean": result.value,
+        "tail_bound": result.tail_bound,
+        "terms_used": result.terms_used,
+        "converged": result.converged,
+    }
     rows = [
         (q, occupation_number(mode_energy(q, p), t, kind))
         for q in range(result.terms_used)
     ]
-    return Report(meta, _COLUMNS["stats"], rows)
+    return extra, rows
 
 
-def _run_bounds(params: dict[str, Any]) -> Report:
+def _run_bounds(params: dict[str, Any]) -> tuple[dict[str, Any], Rows]:
     kind = StatisticsKind.from_name(params["stat"])
     policy = TruncationPolicy(rel_tol=params["rel_tol"], max_terms=params["max_terms"])
-    result = reduced_series(params["mu"], kind, policy)
-    if not result.converged:
-        raise ConvergenceError(
-            f"reduced series did not converge within {policy.max_terms} terms"
-        )
+    result = _converged(reduced_series(params["mu"], kind, policy), "reduced series", policy)
     ceiling = reduced_series_bound(params["mu"])
     ok = result.value + result.tail_bound <= ceiling
-    row = (params["mu"], result.value, result.tail_bound, ceiling, ok)
-    return Report(dict(params, job="bounds"), _COLUMNS["bounds"], [row])
+    return {}, [(params["mu"], result.value, result.tail_bound, ceiling, ok)]
 
 
-def _run_oracle(params: dict[str, Any]) -> Report:
+def _run_oracle(params: dict[str, Any]) -> tuple[dict[str, Any], Rows]:
     kind = StatisticsKind.from_name(params["stat"])
     t = Thermo(params["beta"], params["mu"])
     # Built even when explicit energies make it unused, so bad --omega or --hbar still fail.
@@ -423,59 +361,103 @@ def _run_oracle(params: dict[str, Any]) -> Report:
         modes = ModeSet(tuple(params["energies"]))
     else:
         modes = ModeSet.from_oscillator(p, params["qmax"])
-    cutoff = 1 if kind is StatisticsKind.FERMI else params["cutoff"]
+    cutoff = per_mode_limit(kind, params["cutoff"])
     means = gc_average_occupation(modes, t, kind, cutoff)
-    meta = dict(params, job="oracle", cutoff=cutoff, energies=list(modes.energies))
     rows = []
     for i, (e, mean) in enumerate(zip(modes.energies, means)):
         closed = occupation_number(e, t, kind)
         rows.append((i, closed, mean, abs(closed - mean)))
-    return Report(meta, _COLUMNS["oracle"], rows)
+    return {"cutoff": cutoff, "energies": list(modes.energies)}, rows
 
 
-def _run_sweep(job: Job) -> Report:
-    params = job.params
-    inner = job.inner
-    assert inner is not None
-    steps = params["steps"]
-    span = params["stop"] - params["start"]
-    grid = [
-        params["start"] + i * span / (steps - 1) if steps > 1 else params["start"]
-        for i in range(steps)
-    ]
-    swept = params["param"]
-    meta = dict(params, job="sweep", inner_job=inner.kind)
-    for name, value in inner.params.items():
-        meta[name] = "swept" if name == swept else value
-    if meta.get("levels") is None:
-        meta.pop("levels", None)
-    if meta.get("energies") is None:
-        meta.pop("energies", None)
-    columns = (swept,) + _COLUMNS[inner.kind]
-    rows: list[tuple[Any, ...]] = []
-    for value in grid:
-        point = dict(inner.params)
-        point[swept] = value
-        block = _RUNNERS[inner.kind](point)
-        rows.extend((value,) + row for row in block.rows)
-    return Report(meta, columns, rows)
+@dataclass(frozen=True)
+class _Kind:
+    """The one declaration of a job kind; parser, config merge and run_job read it."""
+
+    help: str
+    params: dict[str, _Param]
+    columns: tuple[str, ...]
+    run: Callable[[dict[str, Any]], tuple[dict[str, Any], Rows]]
 
 
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "gas": _run_gas,
-    "chain": _run_chain,
-    "stats": _run_stats,
-    "bounds": _run_bounds,
-    "oracle": _run_oracle,
+_KINDS: dict[str, _Kind] = {
+    "spectrum": _Kind("ladder energies, effective frequencies and accessibility", {
+        "omega": _Param("float", 1.0, help="oscillator frequency"),
+        "hbar": _Param("float", 1.0, help="reduced Planck constant"),
+        "mu": _Param("float", 0.0, help="chemical potential"),
+        "qmax": _Param("nonneg", 10, help="highest ladder level reported"),
+    }, columns=("q", "energy", "omega_eff", "accessible"), run=_run_spectrum),
+    "gas": _Kind("joint translational-vibrational levels and thresholds", {
+        "omega": _Param("float", 1.0),
+        "hbar": _Param("float", 1.0),
+        "mass": _Param("float", 1.0),
+        "box_length": _Param("float", 1.0, help="periodic box length"),
+        "mu": _Param("float", 0.0),
+        "kmax": _Param("nonneg", 5, help="half-width of the k range"),
+        "qmax": _Param("nonneg", 10),
+    }, columns=("k", "q", "energy", "effective_term", "q_min_k"), run=_run_gas),
+    "chain": _Kind("normal-mode frequencies and assignment energies", {
+        "omega": _Param("float", 1.0),
+        "hbar": _Param("float", 1.0),
+        "count": _Param("posint", required=True, help="number of chain sites"),
+        "coupling": _Param("float", 0.0, help="nearest-neighbour coupling"),
+        "mu": _Param("float", 0.0),
+        "levels": _Param("int_list", None, help="ladder index per mode, e.g. 0,0,1"),
+    }, columns=("s", "omega_s"), run=_run_chain),
+    "stats": _Kind("mean occupations of one ladder", {
+        "stat": _Param("stat", required=True, help="bose or fermi"),
+        "beta": _Param("float", 1.0, help="inverse temperature"),
+        "mu": _Param("float", 0.0),
+        "omega": _Param("float", 1.0),
+        "hbar": _Param("float", 1.0),
+        "rel_tol": _Param("float", 1e-10, help="relative truncation tolerance"),
+        "max_terms": _Param("posint", 10_000_000, help="term cap for the adaptive sum"),
+    }, columns=("level", "occupation"), run=_run_stats),
+    "bounds": _Kind("reduced series against its analytic ceiling", {
+        "stat": _Param("stat", required=True),
+        "mu": _Param("float", 0.0),
+        "rel_tol": _Param("float", 1e-10),
+        "max_terms": _Param("posint", 10_000_000),
+    }, columns=("mu", "S_numeric", "tail_bound", "lemma_bound", "pass"), run=_run_bounds),
+    "oracle": _Kind("closed-form occupations against brute-force enumeration", {
+        "stat": _Param("stat", required=True),
+        "beta": _Param("float", 1.0),
+        "mu": _Param("float", 0.0),
+        "omega": _Param("float", 1.0),
+        "hbar": _Param("float", 1.0),
+        "qmax": _Param("nonneg", 4, help="ladder modes 0..qmax when no energies given"),
+        "cutoff": _Param("nonneg", 8, help="per-mode count cap for Bose enumeration"),
+        "energies": _Param("float_list", None, help="explicit mode energies, e.g. 0.5,1.5"),
+    }, columns=("mode", "closed_form", "oracle_value", "abs_error"), run=_run_oracle),
 }
 
 
 def run_job(job: Job) -> Report:
-    """Execute a parsed job and return its report structure."""
-    if job.kind == "sweep":
-        return _run_sweep(job)
-    return _RUNNERS[job.kind](job.params)
+    """Execute a parsed job and return its report structure.
+
+    The metadata echoes every parameter whose value is not ``None``, then
+    adds the runner's own fields and ``job``.  A sweep echoes its inner
+    job's parameters too, the swept one as ``swept``, and names the inner
+    job in ``inner_job``.
+    """
+    params = job.params
+    if job.inner is None:
+        columns = _KINDS[job.kind].columns
+        extra, rows = _KINDS[job.kind].run(params)
+    else:
+        inner = _KINDS[job.inner.kind]
+        swept, steps, start = params["param"], params["steps"], params["start"]
+        span = params["stop"] - start
+        columns = (swept,) + inner.columns
+        extra, rows = {"inner_job": job.inner.kind}, []
+        for i in range(steps):
+            value = start + i * span / (steps - 1) if steps > 1 else start
+            _, block = inner.run({**job.inner.params, swept: value})
+            rows.extend((value,) + row for row in block)
+        params = {**params, **job.inner.params, swept: "swept"}
+    metadata = {name: value for name, value in params.items() if value is not None}
+    metadata.update(extra, job=job.kind)
+    return Report(metadata, columns, rows)
 
 
 # --- rendering ---------------------------------------------------------------
@@ -518,7 +500,7 @@ def execute_job(job: Job) -> str:
     return text
 
 
-def _emit_error(code: int, exc: BaseException, kind: str | None) -> None:
+def _emit_error(code: int, exc: BaseException, kind: str | None) -> int:
     payload = {
         "error": {
             "code": code,
@@ -528,6 +510,7 @@ def _emit_error(code: int, exc: BaseException, kind: str | None) -> None:
         }
     }
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+    return code
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -535,23 +518,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     kind = args[0] if args and not args[0].startswith("-") else None
     try:
         job = parse_job(args)
-    except UsageError as exc:
-        _emit_error(2, exc, kind)
-        return 2
-    except DomainError as exc:
-        _emit_error(3, exc, kind)
-        return 3
-    try:
+        kind = job.kind
         execute_job(job)
+    except UsageError as exc:
+        return _emit_error(2, exc, kind)
     except DomainError as exc:
-        _emit_error(3, exc, job.kind)
-        return 3
+        return _emit_error(3, exc, kind)
     except ConvergenceError as exc:
-        _emit_error(4, exc, job.kind)
-        return 4
+        return _emit_error(4, exc, kind)
     except OSError as exc:
-        _emit_error(1, exc, job.kind)
-        return 1
+        return _emit_error(1, exc, kind)
     return 0
 
 

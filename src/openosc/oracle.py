@@ -25,6 +25,7 @@ __all__ = [
     "enumerate_configurations",
     "gc_average_occupation",
     "ground_state_search",
+    "per_mode_limit",
 ]
 
 CONFIGURATION_CAP = 10_000_000
@@ -70,7 +71,8 @@ class Configuration:
         return sum(e * n for e, n in zip(modes.energies, self.counts))
 
 
-def _per_mode_limit(kind: StatisticsKind, cutoff: int) -> int:
+def per_mode_limit(kind: StatisticsKind, cutoff: int) -> int:
+    """Largest count per mode that enumeration visits: 1 for fermions, else ``cutoff``."""
     if cutoff != int(cutoff) or int(cutoff) < 0:
         raise DomainError(f"cutoff must be a non-negative integer, got {cutoff!r}")
     # Fermionic counts are 0/1 regardless of any requested cutoff.
@@ -86,7 +88,7 @@ def enumerate_configurations(
     for bosons.  The full space is refused up front when it exceeds
     ``CONFIGURATION_CAP`` configurations.
     """
-    limit = _per_mode_limit(kind, cutoff)
+    limit = per_mode_limit(kind, cutoff)
     size = (limit + 1) ** len(modes)
     if size > CONFIGURATION_CAP:
         raise EnumerationLimitError(
@@ -123,7 +125,7 @@ def gc_average_occupation(
                 f"energy <= mu at mode index {bad}: Bose averages require "
                 "beta*(energy - mu) > 0 for every mode"
             )
-    limit = _per_mode_limit(kind, cutoff)
+    limit = per_mode_limit(kind, cutoff)
     # The weight exponent -beta*sum_i (e_i - mu)*n_i is maximised mode by
     # mode, so the offset needs no enumeration pass of its own.
     a_max = -t.beta * sum(

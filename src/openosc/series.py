@@ -86,6 +86,9 @@ def reduced_series(
     ChemicalPotentialError
         For bosons when ``mu >= 1/2`` (the ``k = q = 0`` term of the
         underlying sum has no valid occupation there).
+    DomainError
+        When ``C`` is not a finite positive float (``|mu|`` beyond about
+        709, or a NaN ``mu``); the tail bound divides by it.
     """
     if policy is None:
         policy = TruncationPolicy()
@@ -93,14 +96,20 @@ def reduced_series(
         raise ChemicalPotentialError(
             f"Bose reduced series requires mu < 1/2, got {mu!r}"
         )
-    return certified_sum(_reduced_steps(mu, kind), policy)
+    c = _safe_exp(0.5 - mu)
+    if not 0.0 < c < math.inf:
+        raise DomainError(
+            f"exp(1/2 - mu) must be finite and positive, got {c!r} for mu = {mu!r}"
+        )
+    return certified_sum(_reduced_steps(mu, c, kind), policy)
 
 
-def _reduced_steps(mu: float, kind: StatisticsKind) -> Iterator[tuple[float, int, float]]:
-    """One integer shell ``r`` per step."""
+def _reduced_steps(
+    mu: float, c: float, kind: StatisticsKind
+) -> Iterator[tuple[float, int, float]]:
+    """One integer shell ``r`` per step, with ``c = exp(1/2 - mu)``."""
     t = Thermo(1.0, mu)
     x = math.exp(-1.0)
-    c = math.exp(0.5 - mu)
     bose = kind is StatisticsKind.BOSE
     for r in itertools.count():
         mult = 2 * math.isqrt(r) + 1
@@ -115,8 +124,16 @@ def reduced_series_bound(mu: float) -> float:
 
     Valid for fermions at every ``mu``; the Bose reading additionally
     needs ``mu < 1/2`` for the series itself to exist.
+
+    Raises
+    ------
+    DomainError
+        When the ceiling is not a finite float (``mu`` above about 704).
     """
-    return math.exp(mu - 0.5) * _BOUND_CONSTANT
+    ceiling = _safe_exp(mu - 0.5) * _BOUND_CONSTANT
+    if not math.isfinite(ceiling):
+        raise DomainError(f"reduced-series ceiling is not finite for mu = {mu!r}")
+    return ceiling
 
 
 # --- general-units shell summation ------------------------------------------

@@ -96,9 +96,9 @@ class OccupationState:
         self.validate()
 
     @classmethod
-    def from_levels(cls, levels: Iterable[int]) -> "OccupationState":
-        """Build a state from one ladder index per particle."""
-        return cls(dict(Counter(int(q) for q in levels)))
+    def from_levels(cls, levels: Iterable[Any]) -> "OccupationState":
+        """Build a state from one key per particle."""
+        return cls(dict(Counter(levels)))
 
     def items(self) -> list[tuple[Any, int]]:
         """Occupied ``(key, n)`` pairs in ascending key order."""

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from openosc import cli
 from openosc.cli import UsageError, main, parse_job
 
 JOB_ARGS = {
@@ -302,9 +303,22 @@ def test_sweep_failing_mid_grid_writes_no_report(tmp_path, capsys):
             ["gas", "--box-length", "1e-170"],
             "translational prefactor must be finite and positive, got inf",
         ),
+        (
+            ["bounds", "--stat", "fermi", "--mu", "705"],
+            "reduced-series ceiling is not finite for mu = 705.0",
+        ),
+        (
+            ["bounds", "--stat", "fermi", "--mu", "720"],
+            "reduced-series ceiling is not finite for mu = 720.0",
+        ),
+        (
+            ["bounds", "--stat", "fermi", "--mu", "1e300"],
+            "exp(1/2 - mu) must be finite and positive, got 0.0 for mu = 1e+300",
+        ),
     ],
     ids=["stats-beta", "gas-box-length", "bounds-rel-tol", "oracle-omega",
-         "sweep-inner-beta", "gas-prefactor"],
+         "sweep-inner-beta", "gas-prefactor", "bounds-mu-705", "bounds-mu-720",
+         "bounds-mu-1e300"],
 )
 def test_physical_range_errors_exit_3_without_report(args, message, tmp_path, capsys):
     # The CLI leaves these range checks to the library; each must still
@@ -315,6 +329,34 @@ def test_physical_range_errors_exit_3_without_report(args, message, tmp_path, ca
     error = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
     assert error["type"] == "DomainError"
     assert error["message"] == message
+
+
+def test_library_calls_are_looked_up_at_call_time(monkeypatch, capsys):
+    # The benchmark's traced replay wraps these openosc.cli globals for the
+    # duration of a pass, so each job must reach the library through them.
+    jobs = [
+        JOB_ARGS["stats"], JOB_ARGS["bounds"], JOB_ARGS["oracle"],
+        ["sweep", "--param", "beta", "--start", "0.5", "--stop", "2", "--steps", "3",
+         "stats", "--stat", "fermi"],
+    ]
+
+    def reports():
+        texts = []
+        for args in jobs:
+            assert main(args) == 0
+            texts.append(capsys.readouterr().out)
+        return texts
+
+    plain = reports()
+    calls = {}
+    for name in ("mean_particle_number", "reduced_series", "gc_average_occupation"):
+        def counting(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+    assert reports() == plain
+    assert calls == {"mean_particle_number": 4, "reduced_series": 1, "gc_average_occupation": 1}
 
 
 def test_sweep_needs_numeric_parameter():
@@ -355,6 +397,30 @@ def test_config_unknown_key_is_named(tmp_path, capsys):
     assert code == 2
     payload = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert "omeg" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "args, config, code, expected",
+    [
+        (["chain", "--count", "2"], {"levels": [1.0, 0]}, 0, "# levels = 1,0"),
+        (["chain", "--count", "2"], {"levels": [0.5, 1.7]}, 2,
+         "config[chain] value for 'levels' must be a list of ints, got [0.5, 1.7]"),
+        (["chain", "--count", "2"], {"levels": [True, 0]}, 2,
+         "config[chain] value for 'levels' must be a list of ints, got [True, 0]"),
+        (["oracle", "--stat", "fermi"], {"energies": [0.5, True]}, 2,
+         "config[oracle] value for 'energies' must be a list of floats, got [0.5, True]"),
+    ],
+    ids=["integral-float", "fractional", "bool-int", "bool-float"],
+)
+def test_config_list_elements_follow_scalar_rules(args, config, code, expected, tmp_path,
+                                                  capsys):
+    # As with --levels 0.5, a list element is not truncated or read as a number
+    # when it is a boolean, or a fractional number where ints are expected.
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(config))
+    assert main(args + ["--config", str(cfg)]) == code
+    out, err = capsys.readouterr()
+    assert expected in (out if code == 0 else json.loads(err)["error"]["message"])
 
 
 def test_config_kind_mismatch(tmp_path):

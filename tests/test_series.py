@@ -164,6 +164,18 @@ def test_ceiling_scales_exponentially_in_mu():
         assert ratio == pytest.approx(math.exp(mu), rel=1e-13)
 
 
+def test_unrepresentable_mu_is_a_domain_error():
+    # Near mu = 704 the ceiling overflows; beyond |mu| ~ 709 C = exp(1/2 - mu)
+    # leaves the float range and the tail bound would divide by it or by 0.
+    assert math.isfinite(reduced_series_bound(700.0))
+    for mu in (705.0, 720.0):
+        with pytest.raises(DomainError, match="ceiling is not finite"):
+            reduced_series_bound(mu)
+    for kind, mu in ((FERMI, 1e300), (FERMI, -800.0), (BOSE, -800.0), (FERMI, math.nan)):
+        with pytest.raises(DomainError, match=r"exp\(1/2 - mu\) must be finite and positive"):
+            reduced_series(mu, kind)
+
+
 def brute_equilibrium(mu, kind, weight, k_max=40, q_max=760):
     """Rectangular oracle for the physical-units shell sums (reduced gas)."""
     sign = -1.0 if kind is BOSE else 1.0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from openosc import (
     ClosureError,
     DomainError,
+    GasOccupationState,
     OccupationState,
     OscillatorParams,
     ensemble_energy,
@@ -149,6 +150,12 @@ def test_occupation_state_from_levels():
     state = OccupationState.from_levels([0, 0, 3])
     assert dict(state.items()) == {0: 2, 3: 1}
     assert state.total == 3
+    # Every key goes through the level check: no silent truncation.
+    with pytest.raises(DomainError):
+        OccupationState.from_levels([1.5])
+    assert OccupationState.from_levels([2.0, 2]).occupations == {2: 2}
+    gas = GasOccupationState.from_levels([(0, 1), (0, 1), (-2, 0)])
+    assert gas.occupations == {(0, 1): 2, (-2, 0): 1}
 
 
 def test_occupation_state_items_sorted():
