@@ -1,133 +1,22 @@
-"""Effective spectra and grand-canonical statistics of open oscillator systems."""
+"""Effective spectra and grand-canonical statistics of open oscillator systems.
 
-from .chain import (
-    ChainAssignment,
-    ChainParams,
-    GroupedFormResult,
-    chain_effective_energy,
-    chain_energy,
-    chain_frequencies,
-    grouped_form_energy,
-    q_min_chain,
-)
-from .errors import (
-    ChemicalPotentialError,
-    ClosureError,
-    ConvergenceError,
-    DomainError,
-    EnumerationLimitError,
-)
-from .gas import (
-    BoseConditionReport,
-    GasOccupationState,
-    GasParams,
-    bose_gas_condition,
-    effective_energy_gas,
-    joint_energy,
-    q_min_gas,
-    translational_energy,
-)
-from .open_system import (
-    AccessibleSet,
-    FermionClass,
-    PositivityReport,
-    accessible_set,
-    classify_fermion_state,
-    effective_energy_vibrational,
-    effective_frequency,
-    is_accessible,
-    positivity_check,
-    q_min_vibrational,
-)
-from .oracle import (
-    Configuration,
-    GroundStateResult,
-    ModeSet,
-    enumerate_configurations,
-    gc_average_occupation,
-    ground_state_search,
-)
-from .series import (
-    EstimateReport,
-    equilibrium_effective_energy,
-    equilibrium_particle_number,
-    quartic_reciprocal_tail,
-    reduced_series,
-    reduced_series_bound,
-    verify_series_estimates,
-)
-from .spectra import OccupationState, OscillatorParams, ensemble_energy, mode_energy
-from .stats import (
-    IdealBoseGasResult,
-    StatisticsKind,
-    Thermo,
-    ThresholdReport,
-    bose_threshold_equivalence,
-    ideal_bose_gas,
-    mean_particle_number,
-    occupation_number,
-)
-from .summation import SeriesResult, TruncationPolicy
+Every name in a submodule's ``__all__`` is importable from the package, and
+the package ``__all__`` is the sorted union of those lists, so each public
+name is declared once, in the module that defines it.
+"""
+
+from . import chain, errors, gas, open_system, oracle, series, spectra, stats, summation
+from .chain import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .gas import *  # noqa: F403
+from .open_system import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .series import *  # noqa: F403
+from .spectra import *  # noqa: F403
+from .stats import *  # noqa: F403
+from .summation import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccessibleSet",
-    "BoseConditionReport",
-    "ChainAssignment",
-    "ChainParams",
-    "ChemicalPotentialError",
-    "ClosureError",
-    "Configuration",
-    "ConvergenceError",
-    "DomainError",
-    "EnumerationLimitError",
-    "EstimateReport",
-    "FermionClass",
-    "GasOccupationState",
-    "GasParams",
-    "GroundStateResult",
-    "GroupedFormResult",
-    "IdealBoseGasResult",
-    "ModeSet",
-    "OccupationState",
-    "OscillatorParams",
-    "PositivityReport",
-    "SeriesResult",
-    "StatisticsKind",
-    "Thermo",
-    "ThresholdReport",
-    "TruncationPolicy",
-    "accessible_set",
-    "bose_gas_condition",
-    "bose_threshold_equivalence",
-    "chain_effective_energy",
-    "chain_energy",
-    "chain_frequencies",
-    "classify_fermion_state",
-    "effective_energy_gas",
-    "effective_energy_vibrational",
-    "effective_frequency",
-    "ensemble_energy",
-    "enumerate_configurations",
-    "equilibrium_effective_energy",
-    "equilibrium_particle_number",
-    "gc_average_occupation",
-    "grouped_form_energy",
-    "ground_state_search",
-    "ideal_bose_gas",
-    "is_accessible",
-    "joint_energy",
-    "mean_particle_number",
-    "mode_energy",
-    "occupation_number",
-    "positivity_check",
-    "q_min_chain",
-    "q_min_gas",
-    "q_min_vibrational",
-    "quartic_reciprocal_tail",
-    "reduced_series",
-    "reduced_series_bound",
-    "translational_energy",
-    "verify_series_estimates",
-]
+_MODULES = (chain, errors, gas, open_system, oracle, series, spectra, stats, summation)
+__all__ = sorted({name for module in _MODULES for name in module.__all__})

@@ -227,13 +227,13 @@ def parse_job(argv: Sequence[str]) -> Job:
     if kind == "sweep":
         inner_kind = getattr(ns, "inner_kind", None)
         inner_cfg = config.get("job", {})
-        if inner_cfg and not isinstance(inner_cfg, dict):
+        if not isinstance(inner_cfg, dict):
             raise UsageError("config key 'job' must hold a JSON object")
         if inner_kind is None:
             inner_kind = inner_cfg.get("kind")
             if inner_kind is None:
                 raise UsageError("sweep needs an inner job (subcommand or config 'job')")
-            if inner_kind not in _KINDS:
+            if not isinstance(inner_kind, str) or inner_kind not in _KINDS:
                 raise UsageError(f"unknown inner job kind {inner_kind!r}")
         inner_params = _merge_params(
             inner_kind, flags, inner_cfg, "config[job]"

@@ -5,6 +5,14 @@ with bad physical input; the CLI maps it to its own exit code, distinct
 from usage errors and from numerical non-convergence.
 """
 
+__all__ = [
+    "DomainError",
+    "ClosureError",
+    "ChemicalPotentialError",
+    "EnumerationLimitError",
+    "ConvergenceError",
+]
+
 
 class DomainError(ValueError):
     """A physical precondition does not hold for the given input."""

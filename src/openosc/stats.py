@@ -156,7 +156,7 @@ def _ladder_steps(
     t: Thermo, p: OscillatorParams, kind: StatisticsKind
 ) -> Iterator[tuple[float, int, float]]:
     """One level per step; the next level's energy anchors the tail and is reused."""
-    ratio = math.exp(-t.beta * p.quantum)
+    one_minus_ratio = -math.expm1(-t.beta * p.quantum)  # no cancellation at tiny y
     energy = mode_energy(0, p)
     for q in itertools.count(1):
         term = occupation_number(energy, t, kind)
@@ -164,8 +164,8 @@ def _ladder_steps(
         x_next = t.beta * (energy - t.mu)
         head = math.exp(-x_next) if x_next > -700.0 else math.inf
         if kind is StatisticsKind.BOSE:
-            head /= 1.0 - math.exp(-x_next)
-        yield term, 1, head / (1.0 - ratio)
+            head /= -math.expm1(-x_next)
+        yield term, 1, head / one_minus_ratio
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import warnings
 
 import pytest
 
@@ -192,10 +193,21 @@ def test_stats_bose_domain_exits_3_before_compute(capsys):
 
 
 def test_stats_term_cap_exits_4(capsys):
-    code = main(["stats", "--stat", "fermi", "--mu", "0", "--max-terms", "5"])
-    assert code == 4
-    payload = json.loads(capsys.readouterr().err.splitlines()[-1])
-    assert payload["error"]["type"] == "ConvergenceError"
+    # In the last three jobs exp(-beta*hbar*omega) rounds to 1.0; the ladder
+    # tail bound must not divide by zero there.
+    jobs = [
+        ["--stat", "fermi", "--mu", "0", "--max-terms", "5"],
+        ["--stat", "fermi", "--beta", "1e-17", "--max-terms", "1000"],
+        ["--stat", "fermi", "--omega", "1e-320", "--max-terms", "1000"],
+        ["--stat", "bose", "--beta", "1e-17", "--max-terms", "1000"],
+    ]
+    for args in jobs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # Bose near x = 0
+            code = main(["stats"] + args)
+        assert code == 4, args
+        payload = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert payload["error"]["type"] == "ConvergenceError"
 
 
 def test_bounds_report_passes(tmp_path):
@@ -373,6 +385,26 @@ def test_sweep_rejects_nested_sweep():
 def test_sweep_requires_an_inner_job():
     with pytest.raises(UsageError):
         parse_job(["sweep", "--param", "mu", "--start", "0", "--stop", "1"])
+
+
+@pytest.mark.parametrize(
+    "inner, message",
+    [
+        ([], "config key 'job' must hold a JSON object"),
+        (0, "config key 'job' must hold a JSON object"),
+        ({"kind": [1]}, "unknown inner job kind [1]"),
+    ],
+    ids=["empty-list", "zero", "list-kind"],
+)
+def test_sweep_config_rejects_malformed_inner_job(inner, message, tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"param": "mu", "start": 0.0, "stop": 1.0, "job": inner}))
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg), "-o", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert payload["error"]["type"] == "UsageError"
+    assert payload["error"]["message"] == message
+    assert not out.exists()
 
 
 def test_config_file_supplies_parameters(tmp_path):
