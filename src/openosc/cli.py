@@ -13,6 +13,7 @@ error, 4 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -329,18 +330,19 @@ def _run_stats(params: dict[str, Any]) -> tuple[dict[str, Any], Rows]:
     t = Thermo(params["beta"], params["mu"])
     p = OscillatorParams(hbar=params["hbar"], omega=params["omega"])
     policy = TruncationPolicy(rel_tol=params["rel_tol"], max_terms=params["max_terms"])
-    result = _converged(mean_particle_number(t, p, kind, policy), "mean particle number", policy)
+    occupations: list[float] = []
+    result = _converged(
+        mean_particle_number(t, p, kind, policy, occupations=occupations),
+        "mean particle number",
+        policy,
+    )
     extra = {
         "mean": result.value,
         "tail_bound": result.tail_bound,
         "terms_used": result.terms_used,
         "converged": result.converged,
     }
-    rows = [
-        (q, occupation_number(mode_energy(q, p), t, kind))
-        for q in range(result.terms_used)
-    ]
-    return extra, rows
+    return extra, list(enumerate(occupations))
 
 
 def _run_bounds(params: dict[str, Any]) -> tuple[dict[str, Any], Rows]:
@@ -473,20 +475,65 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+_NUMBERS = frozenset({int, float})
+
+
+def _numeric_width(rows: Rows) -> int:
+    """The common length of rows that are all tuples of exact ints and floats, else 0.
+
+    Every report without a bool column has such rows.  They render through
+    one %-template: ``%r`` of an exact int or float is its ``__repr__``,
+    the spelling both formats use for finite numbers.
+    """
+    if not rows or set(map(type, rows)) != {tuple}:
+        return 0
+    widths = set(map(len, rows))
+    if len(widths) != 1 or not set(map(type, itertools.chain.from_iterable(rows))) <= _NUMBERS:
+        return 0
+    return widths.pop()
+
+
 def render_csv(report: Report) -> str:
     lines = [f"# {key} = {_fmt(value)}" for key, value in sorted(report.metadata.items())]
     lines.append(",".join(report.columns))
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in report.rows)
+    width = _numeric_width(report.rows)
+    if width:
+        template = ",".join(["%r"] * width)
+        lines.extend([template % row for row in report.rows])
+    else:
+        lines.extend(",".join(_fmt(cell) for cell in row) for row in report.rows)
     return "\n".join(lines) + "\n"
 
 
 def render_json(report: Report) -> str:
-    payload = {
-        "metadata": report.metadata,
-        "columns": list(report.columns),
-        "rows": [list(row) for row in report.rows],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The bytes of ``json.dumps(payload, sort_keys=True, indent=2)``.
+
+    The stdlib falls back to its pure-Python encoder whenever ``indent`` is
+    set, which costs several string chunks per row.  Numeric rows are
+    written here instead, one string per row; ``columns`` and ``metadata``
+    still go through ``json.dumps``.
+    """
+    width = _numeric_width(report.rows)
+    if not width:
+        payload = {
+            "metadata": report.metadata,
+            "columns": list(report.columns),
+            "rows": [list(row) for row in report.rows],
+        }
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    head = json.dumps(
+        {"columns": list(report.columns), "metadata": report.metadata},
+        sort_keys=True,
+        indent=2,
+    )
+    cell = "\n      "  # a row cell sits three levels (2 spaces each) deep
+    template = "    [" + cell + ("," + cell).join(["%r"] * width) + "\n    ]"
+    rows = ",\n".join([template % row for row in report.rows])
+    # Every cell is a number, so only a non-finite float spells "nan" or "inf";
+    # json.dumps writes those as NaN and (-)Infinity.
+    rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
+    # head ends in "\n}", which closes the payload after "rows" instead.
+    return head[:-2] + ',\n  "rows": [\n' + rows + "\n  ]\n}\n"
 
 
 def execute_job(job: Job) -> str:

@@ -20,7 +20,7 @@ from typing import Iterator
 
 from .errors import ChemicalPotentialError, DomainError
 from .gas import GasParams, joint_energy, q_min_gas, translational_energy
-from .spectra import OscillatorParams, mode_energy
+from .spectra import OscillatorParams
 from .summation import SeriesResult, TruncationPolicy, certified_sum
 
 __all__ = [
@@ -111,8 +111,9 @@ def occupation_number(energy: float, t: Thermo, kind: StatisticsKind) -> float:
             f"Bose occupation undefined: beta*(energy - mu) = {x!r} <= 0"
         )
     if x < _TINY_X:
+        # One constant message, so the default filter reports a long sum once.
         warnings.warn(
-            f"Bose occupation at beta*(energy - mu) = {x:.3e} exceeds ~1e12; "
+            f"Bose occupation at beta*(energy - mu) < {_TINY_X:g} exceeds ~1e12; "
             "the value is dominated by rounding of the exponent",
             RuntimeWarning,
             stacklevel=2,
@@ -128,6 +129,7 @@ def mean_particle_number(
     p: OscillatorParams,
     kind: StatisticsKind,
     policy: TruncationPolicy | None = None,
+    occupations: list[float] | None = None,
 ) -> SeriesResult:
     """Mean total particle number on one ladder, ``sum_q n(hbar*omega*(q+1/2))``.
 
@@ -136,6 +138,10 @@ def mean_particle_number(
     level exponent, and consecutive bounds shrink by the fixed ratio
     ``exp(-beta*hbar*omega)``; the reported tail bound is that geometric
     majorant, so ``converged`` is a certificate rather than a guess.
+
+    When ``occupations`` is a list, each summed occupation is appended to
+    it in level order, ``terms_used`` entries in all; the result is the
+    same either way.
 
     Raises
     ------
@@ -149,18 +155,25 @@ def mean_particle_number(
         raise ChemicalPotentialError(
             f"Bose ladder requires mu < hbar*omega/2 = {0.5 * p.quantum!r}, got {t.mu!r}"
         )
-    return certified_sum(_ladder_steps(t, p, kind), policy)
+    return certified_sum(_ladder_steps(t, p, kind, occupations), policy)
 
 
 def _ladder_steps(
-    t: Thermo, p: OscillatorParams, kind: StatisticsKind
+    t: Thermo, p: OscillatorParams, kind: StatisticsKind, occupations: list[float] | None
 ) -> Iterator[tuple[float, int, float]]:
-    """One level per step; the next level's energy anchors the tail and is reused."""
-    one_minus_ratio = -math.expm1(-t.beta * p.quantum)  # no cancellation at tiny y
-    energy = mode_energy(0, p)
+    """One level per step; the next level's energy anchors the tail and is reused.
+
+    The energies repeat ``mode_energy``'s expression without its index
+    check, which the generated ``q`` always passes.
+    """
+    quantum = p.quantum
+    one_minus_ratio = -math.expm1(-t.beta * quantum)  # no cancellation at tiny y
+    energy = quantum * 0.5
     for q in itertools.count(1):
         term = occupation_number(energy, t, kind)
-        energy = mode_energy(q, p)
+        if occupations is not None:
+            occupations.append(term)
+        energy = quantum * (q + 0.5)
         x_next = t.beta * (energy - t.mu)
         head = math.exp(-x_next) if x_next > -700.0 else math.inf
         if kind is StatisticsKind.BOSE:

@@ -1,7 +1,11 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +212,34 @@ def test_stats_term_cap_exits_4(capsys):
         assert code == 4, args
         payload = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert payload["error"]["type"] == "ConvergenceError"
+
+
+def test_bose_tiny_exponent_warns_once_per_job():
+    # Every summed level is in the blow-up window; one constant message lets
+    # the default warning filter report it once instead of once per term.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "openosc.cli", "stats", "--stat", "bose", "--beta", "1e-17",
+         "--max-terms", "1000"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr.count("RuntimeWarning") == 1
+    assert json.loads(proc.stderr.splitlines()[-1])["error"]["type"] == "ConvergenceError"
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", sorted(JOB_ARGS))
+def test_reports_match_the_frozen_golden_bytes(kind, fmt, tmp_path):
+    # A change to any report byte must update these files and say so.
+    target = tmp_path / f"{kind}.{fmt}"
+    args = JOB_ARGS[kind]
+    assert main(args[:1] + ["-o", str(target), "--format", fmt] + args[1:]) == 0
+    assert target.read_bytes() == (GOLDEN / f"{kind}.{fmt}").read_bytes()
 
 
 def test_bounds_report_passes(tmp_path):

@@ -256,6 +256,18 @@ def test_shell_sum_tail_stays_finite_at_huge_mu():
     assert result.converged
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=ZeroDivisionError,
+    reason="exp(-beta*hbar*omega) rounds to 1.0 below beta*hbar*omega ~ 1.1e-16, "
+    "and _shell_steps divides by 1 - x through geom_tail0",
+)
+def test_shell_sum_at_tiny_beta_reports_the_cap():
+    policy = TruncationPolicy(max_terms=1000)
+    result = equilibrium_particle_number(Thermo(1e-17, 0.0), RG, FERMI, policy)
+    assert not result.converged
+
+
 def test_ladder_and_gas_means_are_distinct_sums():
     # Sanity guard: the one-ladder mean has no translational copies, so it
     # must be strictly below the gas count at the same reservoir.

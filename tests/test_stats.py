@@ -23,6 +23,7 @@ from openosc import (
     bose_threshold_equivalence,
     ideal_bose_gas,
     mean_particle_number,
+    mode_energy,
     occupation_number,
     translational_energy,
 )
@@ -186,6 +187,27 @@ def test_ladder_mean_reports_non_convergence():
     assert result.terms_used == 3
     assert result.tail_bound > 0.0
     assert not policy.satisfied(result.value, result.tail_bound)
+
+
+@pytest.mark.parametrize(
+    "kind, t, policy, converged",
+    [
+        (BOSE, Thermo(0.05, -0.3), TruncationPolicy(), True),
+        (FERMI, Thermo(0.05, 1.0), TruncationPolicy(), True),
+        (BOSE, Thermo(1e-3, 0.4), TruncationPolicy(rel_tol=1e-13), True),
+        (FERMI, Thermo(0.05, 0.0), TruncationPolicy(abs_tol=1e-30, max_terms=7), False),
+    ],
+    ids=["bose", "fermi", "bose-deep", "fermi-capped"],
+)
+def test_ladder_mean_hands_back_its_summed_occupations(kind, t, policy, converged):
+    occupations = []
+    result = mean_particle_number(t, REDUCED, kind, policy, occupations=occupations)
+    assert result == mean_particle_number(t, REDUCED, kind, policy)
+    assert len(occupations) == result.terms_used
+    assert occupations == [
+        occupation_number(mode_energy(q, REDUCED), t, kind) for q in range(result.terms_used)
+    ]
+    assert result.converged is converged
 
 
 def test_ladder_mean_certificate_brackets_a_longer_run():
