@@ -13,10 +13,9 @@ error, 4 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -204,6 +203,27 @@ def _merge_params(
     return merged
 
 
+def _attach_negative_values(argv: Sequence[str]) -> list[str]:
+    """Join ``--flag -1e-5`` into ``--flag=-1e-5``.
+
+    argparse reads ``-1e-5`` or ``-inf`` as an unknown option.  Every flag
+    except ``--help`` takes one value, so a negative token that ``float()``
+    accepts is that flag's value.
+    """
+    args: list[str] = []
+    for token in argv:
+        prev = args[-1] if args else ""
+        if token.startswith("-") and prev.startswith("--") and prev != "--help":
+            try:
+                float(token)
+                args[-1] = f"{prev}={token}"
+                continue
+            except ValueError:
+                pass
+        args.append(token)
+    return args
+
+
 def parse_job(argv: Sequence[str]) -> Job:
     """Turn an argument vector into a validated Job.
 
@@ -214,7 +234,7 @@ def parse_job(argv: Sequence[str]) -> Job:
     """
     parser = _build_parser()
     try:
-        ns = parser.parse_args(list(argv))
+        ns = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         if exc.code == 0:
             raise
@@ -267,7 +287,7 @@ Rows = list[tuple[Any, ...]]
 class Report:
     metadata: dict[str, Any]
     columns: tuple[str, ...]
-    rows: Rows = field(default_factory=list)
+    rows: Rows
 
 
 # A runner returns only what is specific to its kind: extra metadata and the
@@ -468,72 +488,48 @@ def run_job(job: Job) -> Report:
 def _fmt(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, (list, tuple)):
         return ",".join(_fmt(v) for v in value)
     return str(value)
 
 
-_NUMBERS = frozenset({int, float})
+def _render_rows(report: Report, template: str, sep: str) -> str:
+    """Each row through ``template`` (one ``%r`` per column), joined by ``sep``.
 
-
-def _numeric_width(rows: Rows) -> int:
-    """The common length of rows that are all tuples of exact ints and floats, else 0.
-
-    Every report without a bool column has such rows.  They render through
-    one %-template: ``%r`` of an exact int or float is its ``__repr__``,
-    the spelling both formats use for finite numbers.
+    A runner's cells are exact ints, floats and bools.  ``%r`` spells ints
+    and floats the way both formats need; bools are then respelled
+    ``true``/``false``, which no numeric repr contains.
     """
-    if not rows or set(map(type, rows)) != {tuple}:
-        return 0
-    widths = set(map(len, rows))
-    if len(widths) != 1 or not set(map(type, itertools.chain.from_iterable(rows))) <= _NUMBERS:
-        return 0
-    return widths.pop()
+    text = sep.join([template % row for row in report.rows])
+    return text.replace("True", "true").replace("False", "false")
 
 
 def render_csv(report: Report) -> str:
     lines = [f"# {key} = {_fmt(value)}" for key, value in sorted(report.metadata.items())]
     lines.append(",".join(report.columns))
-    width = _numeric_width(report.rows)
-    if width:
-        template = ",".join(["%r"] * width)
-        lines.extend([template % row for row in report.rows])
-    else:
-        lines.extend(",".join(_fmt(cell) for cell in row) for row in report.rows)
-    return "\n".join(lines) + "\n"
+    template = ",".join(["%r"] * len(report.columns)) + "\n"
+    return "\n".join(lines) + "\n" + _render_rows(report, template, "")
 
 
 def render_json(report: Report) -> str:
     """The bytes of ``json.dumps(payload, sort_keys=True, indent=2)``.
 
-    The stdlib falls back to its pure-Python encoder whenever ``indent`` is
-    set, which costs several string chunks per row.  Numeric rows are
-    written here instead, one string per row; ``columns`` and ``metadata``
-    still go through ``json.dumps``.
+    Only ``columns`` and ``metadata`` go through ``json.dumps``: with
+    ``indent`` set it runs its pure-Python encoder, several chunks per row.
     """
-    width = _numeric_width(report.rows)
-    if not width:
-        payload = {
-            "metadata": report.metadata,
-            "columns": list(report.columns),
-            "rows": [list(row) for row in report.rows],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     head = json.dumps(
         {"columns": list(report.columns), "metadata": report.metadata},
         sort_keys=True,
         indent=2,
     )
     cell = "\n      "  # a row cell sits three levels (2 spaces each) deep
-    template = "    [" + cell + ("," + cell).join(["%r"] * width) + "\n    ]"
-    rows = ",\n".join([template % row for row in report.rows])
-    # Every cell is a number, so only a non-finite float spells "nan" or "inf";
-    # json.dumps writes those as NaN and (-)Infinity.
-    rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
-    # head ends in "\n}", which closes the payload after "rows" instead.
-    return head[:-2] + ',\n  "rows": [\n' + rows + "\n  ]\n}\n"
+    template = "    [" + cell + ("," + cell).join(["%r"] * len(report.columns)) + "\n    ]"
+    # Only a non-finite float spells "nan" or "inf"; json.dumps writes NaN and (-)Infinity.
+    rows = _render_rows(report, template, ",\n").replace("nan", "NaN").replace("inf", "Infinity")
+    body = ("[\n", rows, "\n  ]") if report.rows else ("[]",)
+    # head ends in "\n}", which closes the payload after "rows" instead.  One
+    # join copies the rows text once; chained + would copy it at every step.
+    return "".join([head[:-2], ',\n  "rows": ', *body, "\n}\n"])
 
 
 def execute_job(job: Job) -> str:

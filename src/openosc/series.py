@@ -201,6 +201,9 @@ def _shell_steps(
             mult = 1 if k == 0 else 2
             subtotal += mult * (alpha * energy + gamma) * occupation_number(energy, t, kind)
             count += mult
+        if x == 1.0:  # exp(-beta*b) rounded to 1: no geometric tail; inf is a valid bound
+            yield subtotal, count, math.inf
+            continue
         if kind is StatisticsKind.FERMI:
             cstat = boltz
         else:

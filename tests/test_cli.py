@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from openosc import cli
-from openosc.cli import UsageError, main, parse_job
+from openosc.cli import UsageError, main, parse_job, run_job
 
 JOB_ARGS = {
     "spectrum": ["spectrum", "--mu", "2.5", "--qmax", "5"],
@@ -114,6 +115,42 @@ def test_reruns_are_byte_identical(kind, tmp_path, capsys):
     assert code_a == code_b == 0
     assert first.read_bytes() == second.read_bytes()
     assert first.read_bytes()  # not trivially empty
+
+
+@pytest.mark.parametrize(
+    "args",
+    [JOB_ARGS[kind] for kind in sorted(cli._KINDS)]
+    + [["sweep", "--param", "mu", "--start", "0", "--stop", "0.4", "--steps", "2"] + JOB_ARGS[kind]
+       for kind in sorted(cli._KINDS)],
+    ids=sorted(cli._KINDS) + [f"sweep-{kind}" for kind in sorted(cli._KINDS)],
+)
+def test_report_rows_are_tuples_of_ints_floats_and_bools(args):
+    # The renderers write each row through one %r template of len(columns)
+    # cells and respell only bools; this is the domain they rely on.
+    report = run_job(parse_job(args))
+    assert report.rows
+    for row in report.rows:
+        assert type(row) is tuple and len(row) == len(report.columns)
+        assert {type(cell) for cell in row} <= {int, float, bool}
+
+
+@pytest.mark.parametrize(
+    "args, key, value",
+    [
+        (["spectrum", "--mu", "-1e-5", "--qmax", "1"], "mu", -1e-5),
+        (["spectrum", "--mu", "-inf", "--qmax", "1"], "mu", -math.inf),
+        (["sweep", "--start", "-1e-3", "--stop", "0", "--steps", "2", "spectrum"], "start", -1e-3),
+        (["sweep", "--param", "beta", "--start", "0.5", "--stop", "1",
+          "stats", "--stat", "fermi", "--mu", "-2E+1"], "mu", -20.0),
+    ],
+    ids=["top-level", "top-level-inf", "sweep-flag", "inner-job-flag"],
+)
+def test_negative_values_with_an_exponent_are_flag_values(args, key, value, capsys):
+    # argparse alone reads "-1e-5" as an unknown option and exits 2.
+    job = parse_job(args)
+    assert {**job.params, **(job.inner.params if job.inner else {})}[key] == value
+    assert main(args) == 0
+    assert f"# {key} = {value!r}\n" in capsys.readouterr().out
 
 
 def test_json_format_mirrors_csv(tmp_path):

@@ -256,16 +256,17 @@ def test_shell_sum_tail_stays_finite_at_huge_mu():
     assert result.converged
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ZeroDivisionError,
-    reason="exp(-beta*hbar*omega) rounds to 1.0 below beta*hbar*omega ~ 1.1e-16, "
-    "and _shell_steps divides by 1 - x through geom_tail0",
-)
 def test_shell_sum_at_tiny_beta_reports_the_cap():
+    # exp(-beta*hbar*omega) rounds to 1.0 below beta*hbar*omega ~ 1.1e-16,
+    # where no geometric tail bound exists; the sum must stop at its cap.
     policy = TruncationPolicy(max_terms=1000)
-    result = equilibrium_particle_number(Thermo(1e-17, 0.0), RG, FERMI, policy)
-    assert not result.converged
+    fermi = equilibrium_particle_number(Thermo(1e-17, 0.0), RG, FERMI, policy)
+    with pytest.warns(RuntimeWarning, match="rounding of the exponent"):
+        bose = equilibrium_particle_number(Thermo(1e-17, 0.0), RG, BOSE, policy)
+    for result in (fermi, bose):
+        assert not result.converged
+        assert result.tail_bound == math.inf
+        assert result.terms_used >= policy.max_terms
 
 
 def test_ladder_and_gas_means_are_distinct_sums():
