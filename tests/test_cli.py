@@ -330,6 +330,19 @@ def test_oracle_cap_exits_3():
     assert code == 3
 
 
+@pytest.mark.parametrize("flags", [
+    ["--mu=inf"], ["--mu=-inf"], ["--beta=inf"], ["--mu=1e308", "--beta=1e10"],
+], ids=["mu-inf", "mu-minus-inf", "beta-inf", "beta-mu-overflow"])
+def test_oracle_non_finite_weights_exit_3(flags, tmp_path, capsys):
+    # The closed form is finite (0 or 1) here, but inf*0 in the unoccupied
+    # counts would make every enumerated weight NaN.
+    code, target = run_to_file(["oracle", "--stat", "fermi", "--qmax", "3"] + flags, tmp_path)
+    assert code == 3
+    assert not target.exists()
+    payload = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert payload["error"]["type"] == "DomainError"
+
+
 def test_sweep_report_shape(tmp_path):
     _, target = run_to_file(JOB_ARGS["sweep"], tmp_path)
     meta, header, rows = parse_csv(target.read_text())

@@ -3,12 +3,18 @@
 The closed forms under test are the elementary single-level results
 n = 1/(e^x + 1) and n = x-geometric means, evaluated directly here so the
 enumeration has an external standard to meet.
+
+The reference bodies below are ``gc_average_occupation`` and
+``ground_state_search`` as first written: one ``Configuration`` per
+enumerated state and an O(modes) exponent sum each.  The package walks the
+exponents in blocks instead; the equivalence tests pin that the returned
+values are exactly the same.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from openosc import (
@@ -26,7 +32,9 @@ from openosc import (
     gc_average_occupation,
     ground_state_search,
     occupation_number,
+    per_mode_limit,
 )
+from openosc.oracle import _BLOCK
 
 BOSE = StatisticsKind.BOSE
 FERMI = StatisticsKind.FERMI
@@ -35,6 +43,50 @@ REDUCED = OscillatorParams()
 
 def ladder(q_max):
     return ModeSet.from_oscillator(REDUCED, q_max)
+
+
+def _plain_sum(terms):
+    """Builtin ``sum`` of floats before Python 3.12: plain adds from int 0."""
+    total = 0
+    for x in terms:
+        total = total + x
+    return total
+
+
+def reference_gc_average_occupation(modes, t, kind, cutoff=1):
+    if kind is BOSE:
+        bad = [i for i, e in enumerate(modes.energies) if not e - t.mu > 0.0]
+        if bad:
+            raise ChemicalPotentialError(f"energy <= mu at mode index {bad}")
+    limit = per_mode_limit(kind, cutoff)
+    a_max = -t.beta * _plain_sum(
+        min(0.0, (e - t.mu) * limit) for e in modes.energies
+    )
+    norm = 0.0
+    sums = [0.0] * len(modes)
+    for cfg in enumerate_configurations(modes, kind, cutoff):
+        a = -t.beta * _plain_sum(
+            (e - t.mu) * n for e, n in zip(modes.energies, cfg.counts)
+        )
+        w = math.exp(a - a_max)
+        norm += w
+        for i, n in enumerate(cfg.counts):
+            if n:
+                sums[i] += n * w
+    return tuple(s / norm for s in sums)
+
+
+def reference_ground_state_search(modes, mu, kind, cutoff=1):
+    if kind is BOSE and any(e - mu < 0.0 for e in modes.energies):
+        return None, None
+    best = None
+    best_cfg = None
+    for cfg in enumerate_configurations(modes, kind, cutoff):
+        value = _plain_sum((e - mu) * n for e, n in zip(modes.energies, cfg.counts))
+        if best is None or value < best:
+            best = value
+            best_cfg = cfg
+    return best, best_cfg.counts
 
 
 def test_mode_set_from_oscillator():
@@ -50,6 +102,12 @@ def test_mode_set_validation():
         ModeSet((1.0, math.inf))
     with pytest.raises(DomainError):
         ModeSet.from_oscillator(REDUCED, -1)
+
+
+def test_mode_set_rejects_fractional_q_max():
+    with pytest.raises(DomainError):
+        ModeSet.from_oscillator(REDUCED, 2.5)
+    assert ModeSet.from_oscillator(REDUCED, 2.0) == ladder(2)
 
 
 def test_configuration_energy():
@@ -80,6 +138,13 @@ def test_enumeration_cap_refused_up_front():
     gen = enumerate_configurations(ladder(23), FERMI)
     with pytest.raises(EnumerationLimitError):
         next(gen)
+
+
+def test_average_cap_refused_up_front():
+    with pytest.raises(EnumerationLimitError):
+        gc_average_occupation(ladder(23), Thermo(1.0, 0.0), FERMI)
+    with pytest.raises(EnumerationLimitError):
+        ground_state_search(ladder(23), 0.0, FERMI)
 
 
 def test_enumeration_cutoff_validation():
@@ -211,3 +276,85 @@ def test_fermi_ground_state_is_the_bound_set(q_max, mu_times_20):
     for q, n in enumerate(result.configuration.counts):
         bound = classify_fermion_state(q, mu, REDUCED) is FermionClass.BOUND
         assert (n == 1) == bound
+
+
+@pytest.mark.parametrize("mu, beta", [
+    (math.inf, 1.0), (-math.inf, 1.0), (0.0, math.inf), (1e308, 1e10),
+], ids=["mu-inf", "mu-minus-inf", "beta-inf", "beta-mu-overflow"])
+def test_average_refuses_non_finite_exponents(mu, beta):
+    # inf*0 in an unoccupied count, or beta*(e - mu) past the float range,
+    # would make every weight NaN.
+    with pytest.raises(DomainError, match="not finite"):
+        gc_average_occupation(ladder(3), Thermo(beta, mu), FERMI)
+
+
+def test_average_refuses_an_overflowing_largest_exponent():
+    # Each entry is finite, but the deepest configuration's exponent sum
+    # -2e308 is not, so the factored offset would be inf.
+    with pytest.raises(DomainError, match="overflows"):
+        gc_average_occupation(ModeSet((-1e308, -1e308)), Thermo(1.0, 0.0), FERMI)
+
+
+@pytest.mark.parametrize("mu, kind", [
+    (math.inf, FERMI), (-math.inf, FERMI), (-math.inf, BOSE),
+])
+def test_ground_state_refuses_non_finite_exponents(mu, kind):
+    with pytest.raises(DomainError, match="not finite"):
+        ground_state_search(ladder(3), mu, kind, cutoff=2)
+
+
+# The most modes whose space fits in one block of the walk: Fermi, and Bose
+# at cutoff 3 (four counts per mode).  One mode more spills into the head.
+_FERMI_EDGE = _BLOCK.bit_length() - 1
+_BOSE_EDGE = _FERMI_EDGE // 2
+
+energies = st.floats(-5.0, 5.0, allow_nan=False)
+betas = st.floats(-6.0, math.log10(50.0)).map(lambda x: 10.0 ** x)
+
+
+@st.composite
+def oracle_cases(draw):
+    """(energies, kind, cutoff, beta, mu); Bose cases keep every e - mu > 0."""
+    if draw(st.booleans()):
+        kind, cutoff, n = FERMI, 1, draw(st.integers(1, 12))
+    else:
+        kind, n, cutoff = BOSE, draw(st.integers(1, 4)), draw(st.integers(0, 7))
+    if draw(st.booleans()):
+        es = [q + 0.5 for q in range(n)]
+    else:
+        es = draw(st.lists(energies, min_size=n, max_size=n))
+    if kind is FERMI:
+        mu = draw(st.floats(-6.0, 6.0))
+    else:
+        gap = draw(st.one_of(st.floats(1e-12, 1e-9), st.floats(1e-9, 3.0)))
+        mu = min(es) - gap
+        if not all(e - mu > 0.0 for e in es):
+            mu = min(es) - 2e-9
+    return es, kind, cutoff, draw(betas), mu
+
+
+def _check_same_as_reference(es, kind, cutoff, beta, mu):
+    modes = ModeSet(tuple(es))
+    means = gc_average_occupation(modes, Thermo(beta, mu), kind, cutoff)
+    assert means == reference_gc_average_occupation(modes, Thermo(beta, mu), kind, cutoff)
+    result = ground_state_search(modes, mu, kind, cutoff)
+    energy, counts = reference_ground_state_search(modes, mu, kind, cutoff)
+    assert result.energy == energy
+    assert (result.configuration and result.configuration.counts) == counts
+
+
+@given(oracle_cases())
+@example(([q + 0.5 for q in range(_FERMI_EDGE)], FERMI, 1, 1.0, 3.1))
+@example(([q + 0.5 for q in range(_FERMI_EDGE + 1)], FERMI, 1, 1.0, 3.1))
+@example(([q + 0.5 for q in range(_BOSE_EDGE)], BOSE, 3, 0.7, 0.5 - 1e-9))
+@example(([q + 0.5 for q in range(_BOSE_EDGE + 1)], BOSE, 3, 0.7, 0.5 - 1e-9))
+@example(([-3.0, 0.25, -0.5, 4.0, 1.0, -2.0, 0.0, 2.5, -1.5], FERMI, 1, 50.0, 0.0))
+@settings(max_examples=150, deadline=None)
+def test_walk_matches_reference_bit_for_bit(case):
+    _check_same_as_reference(*case)
+
+
+@pytest.mark.parametrize("n, cutoff", [(1, _BLOCK - 1), (1, _BLOCK), (1, 2 * _BLOCK + 7), (2, _BLOCK + 3)])
+def test_walk_slices_a_long_last_mode_bit_for_bit(n, cutoff):
+    # A mode with more counts than one block holds is walked in slices.
+    _check_same_as_reference([0.02 * (q + 1) for q in range(n)], BOSE, cutoff, 0.9, 0.01)
