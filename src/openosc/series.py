@@ -20,23 +20,28 @@ analytic ceiling the numerics are checked against.
 from __future__ import annotations
 
 import decimal
+import functools
 import itertools
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import ChemicalPotentialError, DomainError
 from .gas import GasParams
-from .stats import StatisticsKind, Thermo, occupation_number
+from .stats import StatisticsKind, Thermo, fast_occupations, ladder_floor, occupation_number
 from .summation import (
+    Block,
     SeriesResult,
     TruncationPolicy,
+    block_sizes,
     certified_sum,
-    geom_tail0,
-    geom_tail1,
-    geom_tail2,
+    geom_tails0,
+    geom_tails1,
+    geom_tails2,
 )
 
 __all__ = [
@@ -101,22 +106,65 @@ def reduced_series(
         raise DomainError(
             f"exp(1/2 - mu) must be finite and positive, got {c!r} for mu = {mu!r}"
         )
-    return certified_sum(_reduced_steps(mu, c, kind), policy)
+    return certified_sum(_reduced_steps(mu, c, kind, policy), policy)
+
+
+def _reduced_stop(t: Thermo, c: float, kind: StatisticsKind, policy: TruncationPolicy) -> int:
+    """Shells the reduced series is predicted to sum, from its own tail bound.
+
+    With ``x = exp(-1)``, ``T_2(m, x) <= (m + 1)^2 x^m / (1 - x)^3``
+    and ``d`` is smallest at ``r = 0``, so shell ``r``'s tail is at most
+    ``K (m + 1)^2 exp(-m)`` with ``m = r + 1``.  That meets the policy
+    against the largest term (the sum is at least that) once
+    ``m - 2 log(m + 1) >= L``, solved by fixed-point steps from ``m = L``.
+    """
+    x = math.exp(-1.0)
+    d = 1.0 - x / c if kind is StatisticsKind.BOSE else 1.0
+    r = int(t.mu) if t.mu > 1.0 else 1  # the terms peak near shell mu - 1/2
+    largest = (2 * math.isqrt(r) + 1) * r * occupation_number(r + 0.5, t, kind)
+    try:
+        threshold = max(policy.rel_tol * largest, policy.abs_tol)
+        level = math.log(3.0 / ((1.0 - x) ** 3 * c * d * threshold))
+        m = max(level, 1.0)
+        for _ in range(4):
+            m = max(level + 2.0 * math.log(m + 1.0), 1.0)
+    except (ArithmeticError, ValueError):
+        return policy.max_terms
+    # one shell of slack for the rounding of the inversion
+    return int(m) + 2 if m < policy.max_terms else policy.max_terms
 
 
 def _reduced_steps(
-    mu: float, c: float, kind: StatisticsKind
-) -> Iterator[tuple[float, int, float]]:
-    """One integer shell ``r`` per step, with ``c = exp(1/2 - mu)``."""
+    mu: float, c: float, kind: StatisticsKind, policy: TruncationPolicy
+) -> Iterator[Block]:
+    """Blocks of integer shells ``r``, with ``c = exp(1/2 - mu)``.
+
+    The occupation at energy ``r + 1/2`` equals ``1 / (C*exp(r) -+ 1)``
+    exactly; its exponent is ``(r + 1/2) - mu`` since ``beta = 1``.
+    """
     t = Thermo(1.0, mu)
-    x = math.exp(-1.0)
     bose = kind is StatisticsKind.BOSE
-    for r in itertools.count():
-        mult = 2 * math.isqrt(r) + 1
-        d = 1.0 - math.exp(-(r + 1.0)) / c if bose else 1.0
-        # occupation at energy r + 1/2 equals 1 / (C*exp(r) -+ 1) exactly
-        term = mult * r * occupation_number(r + 0.5, t, kind)
-        yield term, mult, 3.0 * geom_tail2(r + 1, x) / (c * d)
+    start = 0
+    for size in block_sizes(_reduced_stop(t, c, kind, policy)):
+        shells = range(start, start + size)
+        start += size
+        mults, t2s = _reduced_shells(shells.start, shells.stop)
+        occupations = fast_occupations([r + 0.5 - mu for r in shells], kind)
+        if occupations is None:
+            occupations = [occupation_number(r + 0.5, t, kind) for r in shells]
+        terms = [m * r * n for m, r, n in zip(mults, shells, occupations)]
+        ds = [1.0 - math.exp(-(r + 1.0)) / c for r in shells] if bose else [1.0] * size
+        yield terms, mults, [3.0 * t2 / (c * d) for t2, d in zip(t2s, ds)]
+
+
+@functools.lru_cache(maxsize=16)
+def _reduced_shells(start: int, stop: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Multiplicities ``2*floor(sqrt(r)) + 1`` and tails ``T_2(r + 1, exp(-1))`` of shells ``r``.
+
+    Neither depends on ``mu``, and most sums take the same first block.
+    """
+    mults = tuple([2 * math.isqrt(r) + 1 for r in range(start, stop)])
+    return mults, tuple(geom_tails2(range(start + 1, stop + 1), math.exp(-1.0)))
 
 
 def reduced_series_bound(mu: float) -> float:
@@ -157,65 +205,139 @@ def _shell_sum(
         raise ChemicalPotentialError(
             f"Bose gas requires mu < hbar*omega/2 = {0.5 * b!r}, got {t.mu!r}"
         )
-    return certified_sum(_shell_steps(t, g, kind, alpha, gamma), policy)
+    return certified_sum(_shell_steps(t, g, kind, policy, alpha, gamma), policy)
 
 
 def _shell_steps(
     t: Thermo,
     g: GasParams,
     kind: StatisticsKind,
+    policy: TruncationPolicy,
     alpha: float,
     gamma: float,
-) -> Iterator[tuple[float, int, float]]:
+) -> Iterator[Block]:
+    """Blocks of shells ``m``.
+
+    A shell's subtotal is a left fold from 0.0 over ``k = 0, 1, ...``
+    (``functools.reduce``, not ``sum``, which compensates from Python 3.12).
+    """
     b = g.osc.quantum
     a = g.translational_prefactor
-    beta = t.beta
+    beta, mu = t.beta, t.mu
     x = math.exp(-beta * b)
     s = math.sqrt(b / a)
-    boltz = _safe_exp(beta * t.mu)
+    boltz = _safe_exp(beta * mu)
     half = math.exp(-0.5 * beta * b)
     # Shell r holds at most 2s*sqrt(r + 1) + 1 <= s*r + 2s + 1 terms, each of
     # weight at most alpha*b*r + w0 with w0 = alpha*1.5*b + |gamma| and
     # occupation at most cstat*half*x^r, so the shells after m add up to at
-    # most cstat*half*(aa*T2 + bb*T1 + cc*T0) with T_p = geom_tailp(m + 1, x).
+    # most cstat*half*(aa*T2 + bb*T1 + cc*T0) with T_p = geom_tails<p> at m + 1.
     w0 = alpha * 1.5 * b + abs(gamma)
     aa = alpha * s * b
     bb = s * w0 + alpha * (2.0 * s + 1.0) * b
     cc = (2.0 * s + 1.0) * w0
-    floors = [0]  # floor(u_k) for k = 0, 1, ...; grows as shells open up
-    for m in itertools.count():
-        while True:
-            k = len(floors)
-            fu = math.floor(a * k * k / b)
-            if fu <= m:
-                floors.append(fu)
-            else:
-                break
-        subtotal = 0.0
-        count = 0
-        for k, fu in enumerate(floors):
-            q = m - fu
-            if q < 0:
-                continue
-            energy = a * k * k + b * (q + 0.5)
-            mult = 1 if k == 0 else 2
-            subtotal += mult * (alpha * energy + gamma) * occupation_number(energy, t, kind)
-            count += mult
+
+    def tails_at(shells: range) -> list[float]:
         if x == 1.0:  # exp(-beta*b) rounded to 1: no geometric tail; inf is a valid bound
-            yield subtotal, count, math.inf
-            continue
+            return [math.inf] * len(shells)
         if kind is StatisticsKind.FERMI:
-            cstat = boltz
+            cstats = [boltz] * len(shells)
         else:
             # smallest energy beyond shell m anchors the Bose enhancement factor
-            gap = b * (m + 1.5) - t.mu
-            cstat = boltz / (1.0 - math.exp(-beta * gap))
-        tail = (cstat * half) * (
-            aa * geom_tail2(m + 1, x)
-            + bb * geom_tail1(m + 1, x)
-            + cc * geom_tail0(m + 1, x)
-        )
-        yield subtotal, count, tail
+            cstats = [boltz / (1.0 - math.exp(-beta * (b * (m + 1.5) - mu))) for m in shells]
+        ms = range(shells.start + 1, shells.stop + 1)
+        return [
+            (cstat * half) * (aa * t2 + bb * t1 + cc * t0)
+            for cstat, t2, t1, t0 in zip(
+                cstats, geom_tails2(ms, x), geom_tails1(ms, x), geom_tails0(ms, x)
+            )
+        ]
+
+    # Per k = 0, 1, ...: floor(u_k), the corner energy a*k*k, and the number
+    # of (k, q) cells the k stands for (k and -k); grown as shells open up.
+    # Since q is an integer, shell m holds q = m - floor(u_k) for every k
+    # with floor(u_k) <= m, and the floors grow with k.
+    floors = [0]
+    corners = [0.0]
+    mults = [1]
+    start = 0
+    threshold = max(policy.rel_tol * _shell_floor(t, g, kind, alpha, gamma), policy.abs_tol)
+    stop = _first_met(lambda m: tails_at(range(m, m + 1))[0], threshold, policy.max_terms - 1)
+    # shell m evaluates one cell per k <= sqrt(m*b/a)
+    widest = math.isqrt(int(min(stop * b / a, 1e18))) + 1
+    for size in block_sizes(stop + 1, widest):
+        shells = range(start, start + size)
+        start += size
+        while (fu := math.floor(a * len(floors) * len(floors) / b)) < start:
+            corners.append(a * len(floors) * len(floors))
+            floors.append(fu)
+            mults.append(2)
+        widths = [bisect_right(floors, m) for m in shells]
+        energies = [
+            corner + b * (m - fu + 0.5)
+            for m, width in zip(shells, widths)
+            for corner, fu in zip(corners[:width], floors)
+        ]
+        occupations = fast_occupations([beta * (e - mu) for e in energies], kind)
+        if occupations is None:
+            occupations = [occupation_number(e, t, kind) for e in energies]
+        cells = [mult for width in widths for mult in mults[:width]]
+        weighted = [
+            mult * (alpha * e + gamma) * n for mult, e, n in zip(cells, energies, occupations)
+        ]
+        ends = list(itertools.accumulate(widths))
+        subtotals = [
+            functools.reduce(operator.add, weighted[end - width : end], 0.0)
+            for end, width in zip(ends, widths)
+        ]
+        yield subtotals, [2 * width - 1 for width in widths], tails_at(shells)
+
+
+def _shell_floor(
+    t: Thermo, g: GasParams, kind: StatisticsKind, alpha: float, gamma: float
+) -> float:
+    """Lower bound on a shell sum once it is near its stop, from its first columns.
+
+    Column ``k`` of the ``(k, q)`` grid is a ladder whose weights grow
+    along ``q`` from their value at ``q = 0``, so that weight times the
+    column's ``ladder_floor`` bounds the column from below.  Columns with
+    a weight that is not positive are left out, and the count stops at
+    64 columns or once a column adds under 0.1 % of the total.
+    """
+    b = g.osc.quantum
+    a = g.translational_prefactor
+    total = 0.0
+    for k in range(64):
+        bottom = a * k * k + 0.5 * b
+        weight = alpha * bottom + gamma
+        if not weight > 0.0:
+            continue
+        floor = ladder_floor(t.beta * (bottom - t.mu), t.beta * b, kind)
+        column = (2 if k else 1) * weight * floor
+        total += column
+        if not column > 1e-3 * total:
+            break
+    return total
+
+
+def _first_met(tail_at: Callable[[int], float], threshold: float, last: int) -> int:
+    """First ``m <= last`` with ``tail_at(m) <= threshold`` (else ``last``), for a falling tail.
+
+    Doubling steps find a bracket, bisection the shell: about
+    ``2*log2(m)`` evaluations of the tail bound in all.
+    """
+    lo, hi = -1, 0  # tail_at(lo) exceeds the threshold; hi is the next probe
+    while not tail_at(hi) <= threshold:
+        if hi >= last:
+            return last
+        lo, hi = hi, min(2 * hi + 1, last)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if tail_at(mid) <= threshold:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def equilibrium_effective_energy(

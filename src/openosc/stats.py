@@ -12,16 +12,16 @@ invalid arguments instead of returning a negative "occupation".
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import ChemicalPotentialError, DomainError
 from .gas import GasParams, joint_energy, q_min_gas, translational_energy
 from .spectra import OscillatorParams
-from .summation import SeriesResult, TruncationPolicy, certified_sum
+from .summation import Block, SeriesResult, TruncationPolicy, block_sizes, certified_sum
 
 __all__ = [
     "StatisticsKind",
@@ -66,6 +66,8 @@ class Thermo:
     def __post_init__(self) -> None:
         if not self.beta > 0.0:
             raise DomainError(f"beta must be positive, got {self.beta!r}")
+        if math.isnan(self.mu):
+            raise DomainError(f"mu must be a number, got {self.mu!r}")
 
 
 def occupation_number(energy: float, t: Thermo, kind: StatisticsKind) -> float:
@@ -155,30 +157,113 @@ def mean_particle_number(
         raise ChemicalPotentialError(
             f"Bose ladder requires mu < hbar*omega/2 = {0.5 * p.quantum!r}, got {t.mu!r}"
         )
-    return certified_sum(_ladder_steps(t, p, kind, occupations), policy)
+    kept = 0 if occupations is None else len(occupations)
+    result = certified_sum(_ladder_steps(t, p, kind, policy, occupations), policy)
+    if occupations is not None:
+        del occupations[kept + result.terms_used :]
+    return result
+
+
+def fast_occupations(xs: Sequence[float], kind: StatisticsKind) -> list[float] | None:
+    """``occupation_number`` at the exponents ``xs``, same bits, in one comprehension.
+
+    Returns ``None`` for bosons when some exponent is below ``_TINY_X``:
+    that level warns or raises, so the caller goes through
+    ``occupation_number`` level by level instead.
+    """
+    if kind is StatisticsKind.FERMI:
+        return [
+            1.0 / (math.exp(x) + 1.0) if x < 0.0 else (z := math.exp(-x)) / (1.0 + z)
+            for x in xs
+        ]
+    if not min(xs) >= _TINY_X:
+        return None
+    return [1.0 / math.expm1(x) if x <= _LARGE_X else (z := math.exp(-x)) / (1.0 - z) for x in xs]
+
+
+def ladder_floor(x0: float, y: float, kind: StatisticsKind) -> float:
+    """Lower bound on a ladder mean once it is near its stop, or 0.0.
+
+    ``x0`` is the ground level's exponent and ``y = beta*hbar*omega``.
+    The occupation falls along the ladder, so the mean is at least its
+    first term and at least ``(1/y) * integral_{x0}^inf n(x) dx``; half of
+    the integral leaves room for the part beyond the stop.
+    """
+    try:
+        if kind is StatisticsKind.FERMI:
+            first = 1.0 / (math.exp(x0) + 1.0)
+            integral = math.log1p(math.exp(-x0)) if x0 >= 0.0 else math.log1p(math.exp(x0)) - x0
+        else:
+            first = 1.0 / math.expm1(x0)
+            integral = -math.log(-math.expm1(-x0))
+        floor = max(first, 0.5 * integral / y)
+    except (ArithmeticError, ValueError):
+        return 0.0
+    return floor if floor < math.inf else 0.0
+
+
+def _ladder_stop(
+    t: Thermo, p: OscillatorParams, kind: StatisticsKind, policy: TruncationPolicy
+) -> int:
+    """Levels a ladder mean is predicted to sum, from its own tail bound.
+
+    Step ``q``'s tail is ``h(x_{q+1}) / (1 - exp(-y))`` with
+    ``h(x) = exp(-x)`` (Fermi) or ``exp(-x) / (1 - exp(-x))`` (Bose),
+    which falls with ``x``; against ``ladder_floor`` it meets the policy
+    once ``x_{q+1}`` passes ``-log(c)`` or ``log1p(1/c)`` respectively,
+    with ``c`` the policy's threshold times ``1 - exp(-y)``.
+    """
+    beta, mu, quantum = t.beta, t.mu, p.quantum
+    try:
+        floor = ladder_floor(beta * (quantum * 0.5 - mu), beta * quantum, kind)
+        c = -math.expm1(-beta * quantum) * max(policy.rel_tol * floor, policy.abs_tol)
+        x_stop = -math.log(c) if kind is StatisticsKind.FERMI else math.log1p(1.0 / c)
+        levels = (x_stop / beta + mu) / quantum - 0.5
+    except (ArithmeticError, ValueError):
+        return policy.max_terms
+    if not levels < policy.max_terms:  # also NaN
+        return policy.max_terms
+    # one level of slack for the rounding of the inversion
+    return int(max(levels, 0.0)) + 2
 
 
 def _ladder_steps(
-    t: Thermo, p: OscillatorParams, kind: StatisticsKind, occupations: list[float] | None
-) -> Iterator[tuple[float, int, float]]:
-    """One level per step; the next level's energy anchors the tail and is reused.
+    t: Thermo,
+    p: OscillatorParams,
+    kind: StatisticsKind,
+    policy: TruncationPolicy,
+    occupations: list[float] | None,
+) -> Iterator[Block]:
+    """Blocks of consecutive levels; level ``q + 1``'s exponent anchors step ``q``'s tail.
 
     The energies repeat ``mode_energy``'s expression without its index
-    check, which the generated ``q`` always passes.
+    check, which the generated ``q`` always passes.  Each block's
+    occupations are appended to ``occupations``, also those past the
+    stopping level, which the caller cuts off.
     """
-    quantum = p.quantum
-    one_minus_ratio = -math.expm1(-t.beta * quantum)  # no cancellation at tiny y
-    energy = quantum * 0.5
-    for q in itertools.count(1):
-        term = occupation_number(energy, t, kind)
+    beta, mu, quantum = t.beta, t.mu, p.quantum
+    fermi = kind is StatisticsKind.FERMI
+    one_minus_ratio = -math.expm1(-beta * quantum)  # no cancellation at tiny y
+    start = 0
+    for size in block_sizes(_ladder_stop(t, p, kind, policy)):
+        levels = range(start, start + size + 1)
+        start += size
+        xs = [beta * (quantum * (q + 0.5) - mu) for q in levels]
+        if fermi:
+            # exp(-x) of a level is its occupation's z and the head of the tail before it
+            heads = [math.exp(-x) if x > -700.0 else math.inf for x in xs]
+            cut = bisect_left(xs, 0.0, 0, size)  # the levels before it have x < 0
+            terms = [1.0 / (math.exp(x) + 1.0) for x in xs[:cut]]
+            terms += [z / (1.0 + z) for z in heads[cut:size]]
+            tails = [head / one_minus_ratio for head in heads[1:]]
+        else:
+            terms = fast_occupations(xs[:-1], kind)
+            if terms is None:
+                terms = [occupation_number(quantum * (q + 0.5), t, kind) for q in levels[:-1]]
+            tails = [math.exp(-x) / -math.expm1(-x) / one_minus_ratio for x in xs[1:]]
         if occupations is not None:
-            occupations.append(term)
-        energy = quantum * (q + 0.5)
-        x_next = t.beta * (energy - t.mu)
-        head = math.exp(-x_next) if x_next > -700.0 else math.inf
-        if kind is StatisticsKind.BOSE:
-            head /= -math.expm1(-x_next)
-        yield term, 1, head / one_minus_ratio
+            occupations.extend(terms)
+        yield terms, [1] * size, tails
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,350 @@
+"""Block-evaluated certified sums against the step-at-a-time originals.
+
+The reference bodies below are ``certified_sum``, the three step sources
+(ladder levels, reduced-series shells, gas shells) and the geometric tail
+formulas as first written: one ``(term, count, tail)`` step per generator resume, one
+``occupation_number`` call per level and one test of the stopping rule per
+step.  The package evaluates whole blocks of steps instead; these tests pin
+that every ``SeriesResult`` and every handed-back occupation keeps its
+exact bits, wherever the blocks start and end.
+"""
+
+import itertools
+import math
+import warnings
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from openosc import (
+    GasParams,
+    OscillatorParams,
+    SeriesResult,
+    StatisticsKind,
+    Thermo,
+    TruncationPolicy,
+    equilibrium_effective_energy,
+    equilibrium_particle_number,
+    mean_particle_number,
+    occupation_number,
+    reduced_series,
+)
+from openosc.series import _safe_exp
+from openosc.summation import _MAX_BLOCK
+
+BOSE = StatisticsKind.BOSE
+FERMI = StatisticsKind.FERMI
+REDUCED = OscillatorParams()
+RG = GasParams.reduced()
+
+
+def geom_tail0(m, x):
+    return x**m / (1.0 - x)
+
+
+def geom_tail1(m, x):
+    return x**m * (m - (m - 1) * x) / (1.0 - x) ** 2
+
+
+def geom_tail2(m, x):
+    num = m * m - (2 * m * m - 2 * m - 1) * x + (m - 1) * (m - 1) * x * x
+    return x**m * num / (1.0 - x) ** 3
+
+
+def reference_certified_sum(steps, policy):
+    value = 0.0
+    terms = 0
+    for term, count, tail in steps:
+        value += term
+        terms += count
+        if tail <= max(policy.rel_tol * abs(value), policy.abs_tol):
+            return SeriesResult(value, terms, tail, True)
+        if terms >= policy.max_terms:
+            return SeriesResult(value, terms, tail, False)
+    raise ValueError("step source ended before the policy or the term cap stopped the sum")
+
+
+def reference_ladder_steps(t, p, kind, occupations):
+    quantum = p.quantum
+    one_minus_ratio = -math.expm1(-t.beta * quantum)
+    energy = quantum * 0.5
+    for q in itertools.count(1):
+        term = occupation_number(energy, t, kind)
+        if occupations is not None:
+            occupations.append(term)
+        energy = quantum * (q + 0.5)
+        x_next = t.beta * (energy - t.mu)
+        head = math.exp(-x_next) if x_next > -700.0 else math.inf
+        if kind is BOSE:
+            head /= -math.expm1(-x_next)
+        yield term, 1, head / one_minus_ratio
+
+
+def reference_reduced_steps(mu, c, kind):
+    t = Thermo(1.0, mu)
+    x = math.exp(-1.0)
+    bose = kind is BOSE
+    for r in itertools.count():
+        mult = 2 * math.isqrt(r) + 1
+        d = 1.0 - math.exp(-(r + 1.0)) / c if bose else 1.0
+        term = mult * r * occupation_number(r + 0.5, t, kind)
+        yield term, mult, 3.0 * geom_tail2(r + 1, x) / (c * d)
+
+
+def reference_shell_steps(t, g, kind, alpha, gamma):
+    b = g.osc.quantum
+    a = g.translational_prefactor
+    beta = t.beta
+    x = math.exp(-beta * b)
+    s = math.sqrt(b / a)
+    boltz = _safe_exp(beta * t.mu)
+    half = math.exp(-0.5 * beta * b)
+    w0 = alpha * 1.5 * b + abs(gamma)
+    aa = alpha * s * b
+    bb = s * w0 + alpha * (2.0 * s + 1.0) * b
+    cc = (2.0 * s + 1.0) * w0
+    floors = [0]
+    for m in itertools.count():
+        while True:
+            k = len(floors)
+            fu = math.floor(a * k * k / b)
+            if fu <= m:
+                floors.append(fu)
+            else:
+                break
+        subtotal = 0.0
+        count = 0
+        for k, fu in enumerate(floors):
+            q = m - fu
+            if q < 0:
+                continue
+            energy = a * k * k + b * (q + 0.5)
+            mult = 1 if k == 0 else 2
+            subtotal += mult * (alpha * energy + gamma) * occupation_number(energy, t, kind)
+            count += mult
+        if x == 1.0:
+            yield subtotal, count, math.inf
+            continue
+        if kind is FERMI:
+            cstat = boltz
+        else:
+            gap = b * (m + 1.5) - t.mu
+            cstat = boltz / (1.0 - math.exp(-beta * gap))
+        tail = (cstat * half) * (
+            aa * geom_tail2(m + 1, x)
+            + bb * geom_tail1(m + 1, x)
+            + cc * geom_tail0(m + 1, x)
+        )
+        yield subtotal, count, tail
+
+
+def reference_mean(t, p, kind, policy, occupations=None):
+    return reference_certified_sum(reference_ladder_steps(t, p, kind, occupations), policy)
+
+
+def reference_reduced(mu, kind, policy):
+    return reference_certified_sum(reference_reduced_steps(mu, math.exp(0.5 - mu), kind), policy)
+
+
+WEIGHTS = {"count": (0.0, 1.0), "energy": (1.0, 0.0), "effective": (1.0, None)}
+
+
+def reference_shells(t, g, kind, weight, policy):
+    alpha, gamma = WEIGHTS[weight]
+    if gamma is None:
+        gamma = -t.mu
+    return reference_certified_sum(reference_shell_steps(t, g, kind, alpha, gamma), policy)
+
+
+def shells(t, g, kind, weight, policy):
+    if weight == "count":
+        return equilibrium_particle_number(t, g, kind, policy)
+    return equilibrium_effective_energy(t, g, kind, policy, mu_shifted=weight == "effective")
+
+
+def check_ladder(beta, mu, kind, policy, omega=1.0):
+    p = OscillatorParams(omega=omega)
+    t = Thermo(beta, mu)
+    expected_rows = []
+    expected = reference_mean(t, p, kind, policy, expected_rows)
+    rows = ["kept"]
+    assert mean_particle_number(t, p, kind, policy, occupations=rows) == expected
+    assert mean_particle_number(t, p, kind, policy) == expected
+    assert rows == ["kept"] + expected_rows
+    return expected
+
+
+# --- the ladder ---------------------------------------------------------------
+
+
+@st.composite
+def ladder_cases(draw):
+    kind = draw(st.sampled_from([BOSE, FERMI]))
+    beta = 10.0 ** draw(st.floats(-3.0, math.log10(50.0)))
+    if kind is BOSE:
+        # mu from deep below the ground level to within 1e-9 of it
+        mu = 0.5 - 10.0 ** draw(st.floats(-9.0, 1.0))
+    else:
+        mu = draw(st.floats(-10.0, 60.0))
+    rel_tol = 10.0 ** draw(st.floats(-16.0, -2.0))
+    abs_tol = draw(st.sampled_from([0.0, 1e-14, 1e-6]))
+    max_terms = draw(st.sampled_from([1, 37, 1000, _MAX_BLOCK, _MAX_BLOCK + 1, 10**7]))
+    return beta, mu, kind, TruncationPolicy(rel_tol, abs_tol, max_terms)
+
+
+@given(ladder_cases())
+@settings(max_examples=150, deadline=None)
+@example((1e-4, 0.0, FERMI, TruncationPolicy()))
+@example((1e-4, 0.4, BOSE, TruncationPolicy()))
+@example((1e-4, -1.0, BOSE, TruncationPolicy(rel_tol=1e-16)))
+@example((1e-4, 0.5 - 1e-9, BOSE, TruncationPolicy()))
+@example((1e-4, 3.0, FERMI, TruncationPolicy(rel_tol=1e-13, max_terms=10**6)))
+def test_ladder_blocks_match_the_steps_bit_for_bit(case):
+    beta, mu, kind, policy = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # Bose mu within 1e-9 of the edge
+        check_ladder(beta, mu, kind, policy)
+
+
+@pytest.mark.parametrize("kind, mu", [(FERMI, 40.0), (FERMI, 1500.5), (BOSE, 0.3)])
+def test_ladder_blocks_straddling_the_exponent_switches(kind, mu):
+    # beta = 0.02: x crosses 0 (Fermi, mu = 40 and 1500.5) or _LARGE_X
+    # (both kinds) inside a block, not at its edge.
+    for max_terms in (10**7, 700):
+        check_ladder(0.02, mu, kind, TruncationPolicy(rel_tol=1e-14, max_terms=max_terms))
+
+
+@pytest.mark.parametrize(
+    "max_terms", [5, _MAX_BLOCK - 1, _MAX_BLOCK, _MAX_BLOCK + 1, 3 * _MAX_BLOCK]
+)
+@pytest.mark.parametrize("kind", [BOSE, FERMI])
+def test_ladder_blocks_stop_at_the_cap_like_the_steps(kind, max_terms):
+    # beta = 1e-5 needs ~3e6 levels, so every run here stops at its cap:
+    # inside the first block, one short of, on, and one past its boundary.
+    policy = TruncationPolicy(max_terms=max_terms)
+    result = check_ladder(1e-5, 0.25, kind, policy)
+    assert not result.converged
+    assert result.terms_used == max_terms
+
+
+@pytest.mark.parametrize("beta, omega", [(1e-17, 1.0), (1.0, 1e-320), (1e-13, 1.0)])
+def test_ladder_blocks_in_the_bose_blowup_window(beta, omega):
+    # Every level (beta = 1e-17, omega = 1e-320) or the first few thousand
+    # (beta = 1e-13) have 0 < x < _TINY_X and go through occupation_number.
+    policy = TruncationPolicy(max_terms=3 * _MAX_BLOCK)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        check_ladder(beta, 0.0, BOSE, policy, omega=omega)
+        check_ladder(beta, 0.0, FERMI, policy, omega=omega)
+
+
+def outcome(call):
+    """repr of the result, so NaNs compare equal, or the exception's type."""
+    try:
+        return repr(call())
+    except Exception as exc:  # the error must match as well
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize(
+    "beta, mu",
+    [(1.0, -math.inf), (1.0, math.inf), (math.inf, -5.0), (math.inf, 3.0), (1e300, 3.0),
+     (1e-300, -5.0)],
+)
+@pytest.mark.parametrize("kind", [BOSE, FERMI])
+def test_ladder_blocks_at_extreme_inputs(kind, beta, mu):
+    # Infinite or overflowing exponents: the same values, NaNs or errors.
+    t = Thermo(beta, mu)
+    policies = [
+        TruncationPolicy(max_terms=3000),
+        TruncationPolicy(abs_tol=1e300, max_terms=3000),
+        TruncationPolicy(rel_tol=1.0, abs_tol=0.0, max_terms=50),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for policy in policies:
+            rows, expected_rows = [], []
+            assert outcome(lambda: mean_particle_number(t, REDUCED, kind, policy, rows)) == outcome(
+                lambda: reference_mean(t, REDUCED, kind, policy, expected_rows)
+            )
+            assert repr(rows) == repr(expected_rows)
+
+
+def test_ladder_tiny_exponent_warning_fires_once_per_sum():
+    # Under the default filter one call site reports once per sum.
+    policy = TruncationPolicy(max_terms=3 * _MAX_BLOCK)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        mean_particle_number(Thermo(1e-17, 0.0), REDUCED, BOSE, policy)
+    assert [w.category for w in caught] == [RuntimeWarning]
+
+
+# --- the reduced series -------------------------------------------------------
+
+
+@given(
+    kind=st.sampled_from([BOSE, FERMI]),
+    mu=st.floats(-30.0, 40.0),
+    rel_tol=st.floats(-16.0, -2.0).map(lambda e: 10.0**e),
+    max_terms=st.sampled_from([1, 5, 64, 231, 10**7]),
+)
+@settings(max_examples=150, deadline=None)
+@example(kind=FERMI, mu=30.0, rel_tol=1e-16, max_terms=10**7)
+@example(kind=BOSE, mu=0.5 - 1e-13, rel_tol=1e-10, max_terms=10**7)
+def test_reduced_blocks_match_the_steps_bit_for_bit(kind, mu, rel_tol, max_terms):
+    if kind is BOSE:
+        mu = min(mu, 0.5 - 1e-13)
+    policy = TruncationPolicy(rel_tol=rel_tol, max_terms=max_terms)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # Bose mu within 1e-12 of 1/2
+        assert reduced_series(mu, kind, policy) == reference_reduced(mu, kind, policy)
+
+
+# --- the gas shells -----------------------------------------------------------
+
+
+@given(
+    kind=st.sampled_from([BOSE, FERMI]),
+    weight=st.sampled_from(sorted(WEIGHTS)),
+    beta=st.floats(math.log10(0.01), math.log10(3.0)).map(lambda e: 10.0**e),
+    mu=st.floats(-3.0, 0.49),
+    rel_tol=st.floats(-14.0, -4.0).map(lambda e: 10.0**e),
+    max_terms=st.sampled_from([1, 40, 1000, 10**7]),
+)
+@settings(max_examples=60, deadline=None)
+@example(kind=FERMI, weight="effective", beta=0.01, mu=0.49, rel_tol=1e-10, max_terms=10**7)
+@example(kind=BOSE, weight="energy", beta=0.01, mu=0.49, rel_tol=1e-10, max_terms=10**7)
+def test_shell_blocks_match_the_steps_bit_for_bit(kind, weight, beta, mu, rel_tol, max_terms):
+    t = Thermo(beta, mu)
+    policy = TruncationPolicy(rel_tol=rel_tol, max_terms=max_terms)
+    assert shells(t, RG, kind, weight, policy) == reference_shells(t, RG, kind, weight, policy)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        GasParams(OscillatorParams(omega=3.0), box_length=4.0),
+        GasParams(OscillatorParams(mass=20.0), box_length=2.0),
+    ],
+)
+@pytest.mark.parametrize("kind, mu", [(FERMI, 4.0), (FERMI, -1.0), (BOSE, 0.2)])
+def test_shell_blocks_in_other_units(g, kind, mu):
+    # Fermi mu = 4 puts the first shells at x < 0, inside a block.
+    t = Thermo(0.3, mu if kind is FERMI else min(mu, 0.45 * g.osc.quantum))
+    for weight in sorted(WEIGHTS):
+        for max_terms in (10**7, 200):
+            policy = TruncationPolicy(max_terms=max_terms)
+            expected = reference_shells(t, g, kind, weight, policy)
+            assert shells(t, g, kind, weight, policy) == expected
+
+
+def test_shell_blocks_overshoot_the_cap_like_the_steps():
+    # The step that reaches the cap may overshoot it by part of its shell.
+    t = Thermo(0.01, 0.0)
+    for max_terms in (1, 2, 3, 100, 101, 5000):
+        policy = TruncationPolicy(max_terms=max_terms)
+        result = shells(t, RG, BOSE, "count", policy)
+        assert result == reference_shells(t, RG, BOSE, "count", policy)
+        assert not result.converged
+        assert result.terms_used >= max_terms

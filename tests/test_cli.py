@@ -343,6 +343,21 @@ def test_oracle_non_finite_weights_exit_3(flags, tmp_path, capsys):
     assert payload["error"]["type"] == "DomainError"
 
 
+@pytest.mark.parametrize("args", [
+    ["stats", "--stat", "fermi"], ["stats", "--stat", "bose"], ["oracle", "--stat", "fermi"],
+], ids=["stats-fermi", "stats-bose", "oracle"])
+def test_nan_mu_exits_3(args, tmp_path, capsys):
+    # Before Thermo refused a NaN mu, stats summed all 10^7 terms and exited 4.
+    code, target = run_to_file(args + ["--mu", "nan"], tmp_path)
+    assert code == 3
+    assert not target.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "DomainError"
+    assert "mu" in error["message"]
+
+
 def test_sweep_report_shape(tmp_path):
     _, target = run_to_file(JOB_ARGS["sweep"], tmp_path)
     meta, header, rows = parse_csv(target.read_text())

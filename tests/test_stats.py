@@ -48,6 +48,14 @@ def test_thermo_requires_positive_beta():
         Thermo(-1.0)
 
 
+def test_thermo_rejects_a_nan_mu():
+    # A NaN mu made every ladder and shell sum run to its term cap.
+    with pytest.raises(DomainError, match="mu"):
+        Thermo(1.0, math.nan)
+    with pytest.raises(DomainError, match="mu"):
+        Thermo(1.0, -math.nan)
+
+
 def test_fermi_occupation_at_unit_exponent():
     # 1/(e + 1), frozen from the closed form.
     value = occupation_number(1.0, Thermo(1.0, 0.0), FERMI)
@@ -288,3 +296,19 @@ def test_threshold_equivalence_moderate_grid():
 def test_threshold_equivalence_validation():
     with pytest.raises(DomainError):
         bose_threshold_equivalence(0.0, RG, k_max=-1, q_max=5)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="certified_sum adds in plain floating point and tail_bound leaves out the "
+    "accumulated rounding, which here is about 5x the truncation bound",
+)
+def test_ladder_certificate_covers_accumulated_rounding():
+    occupations = []
+    policy = TruncationPolicy(rel_tol=1e-13, max_terms=10**8)
+    result = mean_particle_number(Thermo(1e-4, -2.0), REDUCED, BOSE, policy, occupations)
+    assert result.converged
+    assert len(occupations) == result.terms_used
+    # Every term is positive, so the exact sum is at least the correctly
+    # rounded sum of the summed terms.
+    assert math.fsum(occupations) - result.value <= result.tail_bound
