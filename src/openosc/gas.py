@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .spectra import OccupationState, OscillatorParams, level_index, mode_energy
+from .spectra import OccupationState, OscillatorParams, check_mu, level_index, mode_energy
 
 __all__ = [
     "GasParams",
@@ -101,6 +101,7 @@ def effective_energy_gas(occ: GasOccupationState, mu: float, g: GasParams) -> fl
 
 def q_min_gas(mu: float, k: int, g: GasParams) -> float:
     """Vibrational threshold at fixed ``k``; reduces to the pure ladder at ``k = 0``."""
+    check_mu(mu)
     return (mu - translational_energy(k, g)) / g.osc.quantum - 0.5
 
 

@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .spectra import OccupationState, OscillatorParams, level_index, mode_energy
+from .spectra import OccupationState, OscillatorParams, check_mu, level_index, mode_energy
 
 __all__ = [
     "FermionClass",
@@ -44,6 +44,7 @@ def effective_frequency(q: int, mu: float, p: OscillatorParams) -> float:
 
 def q_min_vibrational(mu: float, p: OscillatorParams) -> float:
     """Real threshold below which levels are closed off: ``mu/(hbar*omega) - 1/2``."""
+    check_mu(mu)
     return mu / p.quantum - 0.5
 
 

@@ -9,6 +9,7 @@ malformed state can be rejected rather than silently repaired.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping
@@ -54,6 +55,12 @@ class OscillatorParams:
     def quantum(self) -> float:
         """Level spacing ``hbar * omega``."""
         return self.hbar * self.omega
+
+
+def check_mu(mu: float) -> None:
+    """Refuse a NaN chemical potential: no occupation or threshold exists there."""
+    if math.isnan(mu):
+        raise DomainError(f"mu must be a number, got {mu!r}")
 
 
 def level_index(q: int) -> int:

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 from .errors import ChemicalPotentialError, DomainError
 from .gas import GasParams, joint_energy, q_min_gas, translational_energy
-from .spectra import OscillatorParams
+from .spectra import OscillatorParams, check_mu
 from .summation import Block, SeriesResult, TruncationPolicy, block_sizes, certified_sum
 
 __all__ = [
@@ -66,8 +66,7 @@ class Thermo:
     def __post_init__(self) -> None:
         if not self.beta > 0.0:
             raise DomainError(f"beta must be positive, got {self.beta!r}")
-        if math.isnan(self.mu):
-            raise DomainError(f"mu must be a number, got {self.mu!r}")
+        check_mu(self.mu)
 
 
 def occupation_number(energy: float, t: Thermo, kind: StatisticsKind) -> float:

@@ -153,26 +153,15 @@ def block_sizes(predicted: int, width: int = 1) -> Iterator[int]:
         size = min(2 * size, most)
 
 
-# --- closed-form tails of polynomial-times-geometric series -----------------
-#
-# T_p(m, x) = sum_{r >= m} r^p x^r for 0 < x < 1.  Used to bound shell
-# counts (which grow at most quadratically) against exponential decay.
-
-
-def geom_tails0(ms: Iterable[int], x: float) -> list[float]:
-    """``T_0(m, x)`` for each ``m`` of ``ms``."""
-    denominator = 1.0 - x
-    return [x**m / denominator for m in ms]
-
-
-def geom_tails1(ms: Iterable[int], x: float) -> list[float]:
-    """``T_1(m, x)`` for each ``m`` of ``ms``."""
-    denominator = (1.0 - x) ** 2
-    return [x**m * (m - (m - 1) * x) / denominator for m in ms]
+# --- closed-form tail of a quadratic-times-geometric series ----------------
 
 
 def geom_tails2(ms: Iterable[int], x: float) -> list[float]:
-    """``T_2(m, x)`` for each ``m`` of ``ms``."""
+    """``T_2(m, x) = sum_{r >= m} r^2 x^r`` for each ``m`` of ``ms``, ``0 < x < 1``.
+
+    It bounds the reduced-series shells, whose terms grow at most
+    quadratically, against their exponential decay.
+    """
     denominator = (1.0 - x) ** 3
     return [
         x**m * (m * m - (2 * m * m - 2 * m - 1) * x + (m - 1) * (m - 1) * x * x) / denominator

@@ -345,9 +345,11 @@ def test_oracle_non_finite_weights_exit_3(flags, tmp_path, capsys):
 
 @pytest.mark.parametrize("args", [
     ["stats", "--stat", "fermi"], ["stats", "--stat", "bose"], ["oracle", "--stat", "fermi"],
-], ids=["stats-fermi", "stats-bose", "oracle"])
+    ["spectrum"], ["gas"],
+], ids=["stats-fermi", "stats-bose", "oracle", "spectrum", "gas"])
 def test_nan_mu_exits_3(args, tmp_path, capsys):
-    # Before Thermo refused a NaN mu, stats summed all 10^7 terms and exited 4.
+    # Before Thermo refused a NaN mu, stats summed all 10^7 terms and exited 4;
+    # before the thresholds refused it, spectrum and gas wrote nan cells.
     code, target = run_to_file(args + ["--mu", "nan"], tmp_path)
     assert code == 3
     assert not target.exists()

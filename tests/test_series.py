@@ -6,6 +6,7 @@ the reference values before the adaptive implementation existed.
 """
 
 import decimal
+import functools
 import itertools
 import math
 
@@ -26,7 +27,8 @@ from openosc import (
     reduced_series_bound,
     verify_series_estimates,
 )
-from openosc.summation import certified_sum, geom_tails0, geom_tails1, geom_tails2
+from openosc.series import _columns_after, ladder_closing
+from openosc.summation import certified_sum, geom_tails2
 
 RG = GasParams.reduced()
 BOSE = StatisticsKind.BOSE
@@ -50,16 +52,15 @@ def brute_reduced_series(mu, kind, k_max=30, q_max=800):
 @pytest.mark.parametrize("m", [0, 1, 2, 5, 17])
 @pytest.mark.parametrize("x", [math.exp(-1.0), 0.3])
 def test_geometric_tail_closed_forms(m, x):
-    for p, tails in ((0, geom_tails0), (1, geom_tails1), (2, geom_tails2)):
-        direct = 0.0
-        r = m
-        while True:
-            term = r**p * x**r
-            direct += term
-            r += 1
-            if term < 1e-22 and r > m + 5:
-                break
-        assert tails([m], x) == [pytest.approx(direct, rel=1e-12, abs=1e-15)]
+    direct = 0.0
+    r = m
+    while True:
+        term = r**2 * x**r
+        direct += term
+        r += 1
+        if term < 1e-22 and r > m + 5:
+            break
+    assert geom_tails2([m], x) == [pytest.approx(direct, rel=1e-12, abs=1e-15)]
 
 
 # Values frozen from brute_reduced_series at generous cutoffs.
@@ -245,16 +246,20 @@ def test_equilibrium_vanishes_at_deep_negative_mu():
     assert result.value < 1e-11
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="_shell_steps multiplies exp(beta*mu), which overflows past beta*mu ~ 709.8, "
-    "by x^(m+1), so the tail is inf or nan; at mu = 700 the sum converges",
-)
 def test_shell_sum_tail_stays_finite_at_huge_mu():
+    # exp(beta*mu) overflows past beta*mu ~ 709.8; the bound on the columns
+    # after k takes beta*(eps_{k+1} + hbar*omega/2 - mu) as one exponent.
     policy = TruncationPolicy(max_terms=100_000)
     result = equilibrium_particle_number(Thermo(1.0, 720.0), RG, FERMI, policy)
     assert math.isfinite(result.tail_bound)
     assert result.converged
+
+
+def test_effective_weight_at_an_infinite_mu_is_a_domain_error():
+    # E - mu is infinite on every level and the occupation 0 or 1.
+    for kind, mu in ((FERMI, math.inf), (FERMI, -math.inf), (BOSE, -math.inf)):
+        with pytest.raises(DomainError, match="E - mu is not finite"):
+            equilibrium_effective_energy(Thermo(1.0, mu), RG, kind, mu_shifted=True)
 
 
 def decimal_reduced_series(mu, kind, shells=400, digits=50):
@@ -293,6 +298,135 @@ def test_shell_sum_at_tiny_beta_reports_the_cap():
         assert not result.converged
         assert result.tail_bound == math.inf
         assert result.terms_used >= policy.max_terms
+
+
+# --- the column sums against 40-digit references ------------------------------
+#
+# On the reduced gas (eps_k = k^2, hbar*omega = 1) level q of column k has
+# x = beta*(k^2 + q + 1/2 - mu).  The references add each level's weight times
+# exp(-x)/(1 -+ exp(-x)) in 40-digit decimal, with exp(-x) stepped along the
+# column by the factor exp(-beta).  A column stops _X_STOP past its first
+# level and the gas after the first column to start beyond _X_STOP, where
+# what is left is below 1e-40 of every sum below.
+
+_X_STOP = 100
+WEIGHTS = {"count": (0.0, 1.0), "energy": (1.0, 0.0), "effective": (1.0, None)}
+COLUMN_CASES = [(BOSE, -1.0), (BOSE, 0.49), (FERMI, 0.0), (FERMI, 3.0)]
+
+
+def weight_of(weight, mu):
+    alpha, gamma = WEIGHTS[weight]
+    return alpha, -mu if gamma is None else gamma
+
+
+def decimal_column(x, w, slope, y, kind, span=_X_STOP, digits=40):
+    """sum_{i >= 0} (w + slope*i) * n(x + i*y) while i*y < span, in `digits` digits."""
+    sign = 1 if kind is BOSE else -1
+    d = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        x, w, slope, y = d(x), d(w), d(slope), d(y)
+        ratio = (-y).exp()
+        p = (-x).exp()
+        total = d(0)
+        end = x + span
+        while x < end:
+            total += w * p / (1 - sign * p)
+            x += y
+            w += slope
+            p *= ratio
+        return total
+
+
+@functools.lru_cache(maxsize=None)
+def decimal_columns(beta, mu, kind, weight):
+    """Column sums k = 0, 1, ... (one sign of k) while the column starts below _X_STOP."""
+    alpha, gamma = weight_of(weight, mu)
+    columns = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        d = decimal.Decimal
+        while beta * (len(columns) ** 2 + 0.5 - mu) < _X_STOP:
+            bottom = len(columns) ** 2 + d("0.5")
+            x = d(beta) * (bottom - d(mu))
+            columns.append(decimal_column(x, d(alpha) * bottom + d(gamma), alpha, beta, kind))
+    return columns
+
+
+def decimal_gas(beta, mu, kind, weight):
+    columns = decimal_columns(beta, mu, kind, weight)
+    return columns[0] + 2 * sum(columns[1:])
+
+
+@pytest.mark.parametrize("weight", sorted(WEIGHTS))
+@pytest.mark.parametrize("kind, mu", COLUMN_CASES, ids=lambda v: getattr(v, "value", v))
+@pytest.mark.parametrize("beta", [0.05, 0.3, 1.0])
+def test_closing_remainder_covers_the_dropped_fugacity_terms(beta, kind, mu, weight):
+    # The closing of column k starts at its first level with x >= 1.  From
+    # the same float inputs, the J fugacity terms it keeps (in decimal) differ
+    # from the rest of the column (in decimal, level by level) by the terms
+    # it drops.  Those are down to ~1e-40 of the value at x = 50, so both
+    # sides take 80 digits and the column runs 170 past its first level.
+    alpha, gamma = weight_of(weight, mu)
+    s = 1 if kind is BOSE else -1
+    for k in (0, 1, 2, 5, 9):
+        q = 0
+        while beta * (k * k + q + 0.5 - mu) < 1.0:
+            q += 1
+        energy = k * k + q + 0.5
+        x = beta * (energy - mu)
+        if x >= _X_STOP / 2:
+            break
+        w = alpha * energy + gamma
+        value, count, remainder = ladder_closing(x, w, alpha, beta, kind)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 80
+            d = decimal.Decimal
+            kept = d(0)
+            for j in range(1, count + 1):
+                z = (-j * d(beta)).exp()
+                kept += s ** (j + 1) * (-j * d(x)).exp() * (
+                    d(w) / (1 - z) + d(alpha) * z / (1 - z) ** 2
+                )
+            exact = decimal_column(x, w, alpha, beta, kind, span=170, digits=80)
+            assert abs(exact - kept) <= d(remainder), (k, count)
+            assert remainder <= 2.0**-64 * value
+            assert abs(d(value) - exact) <= d(remainder) + d(4 * count * 2.0**-53 * value)
+
+
+@pytest.mark.parametrize("weight", sorted(WEIGHTS))
+@pytest.mark.parametrize("kind, mu", COLUMN_CASES, ids=lambda v: getattr(v, "value", v))
+@pytest.mark.parametrize("beta", [0.05, 0.3, 1.0])
+def test_bound_after_each_column_covers_the_dropped_columns(beta, kind, mu, weight):
+    # At beta = 0.05, Fermi mu = 3 the first columns start below mu, and the
+    # effective weight E - mu is negative on their first levels.
+    alpha, gamma = weight_of(weight, mu)
+    columns = decimal_columns(beta, mu, kind, weight)
+    t = Thermo(beta, mu)
+    dropped = decimal.Decimal(0)
+    for k in reversed(range(len(columns) - 1)):
+        dropped += 2 * columns[k + 1]
+        bound = _columns_after(k, t, RG, kind, alpha, gamma)
+        assert abs(dropped) <= decimal.Decimal(bound), (k, bound)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-12, 1e-14])
+@pytest.mark.parametrize("weight", sorted(WEIGHTS))
+@pytest.mark.parametrize("kind, mu", COLUMN_CASES, ids=lambda v: getattr(v, "value", v))
+@pytest.mark.parametrize("beta", [0.05, 0.3, 1.0])
+def test_shell_sums_against_a_decimal_reference(beta, kind, mu, weight, rel_tol):
+    # The driver's plain adds round by at most (terms + 16) * 2**-53 * |value|,
+    # the allowance bench/checks.py grants; tail_bound covers the rest.
+    t = Thermo(beta, mu)
+    policy = TruncationPolicy(rel_tol=rel_tol)
+    if weight == "count":
+        result = equilibrium_particle_number(t, RG, kind, policy)
+    else:
+        result = equilibrium_effective_energy(t, RG, kind, policy, weight == "effective")
+    assert result.converged
+    allowance = (result.terms_used + 16) * 2.0**-53 * abs(result.value)
+    error = abs(decimal.Decimal(result.value) - decimal_gas(beta, mu, kind, weight))
+    assert error <= decimal.Decimal(result.tail_bound + allowance)
 
 
 def test_ladder_and_gas_means_are_distinct_sums():
