@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .spectra import OccupationState, OscillatorParams, level_index
+from .spectra import OccupationState, OscillatorParams, check_scale, level_index
 
 __all__ = [
     "ChainParams",
@@ -45,9 +45,7 @@ class ChainParams:
     def __post_init__(self) -> None:
         if self.count != int(self.count) or int(self.count) < 1:
             raise DomainError(f"count must be a positive integer, got {self.count!r}")
-        # coupling == 0 is the decoupling limit and stays legal.
-        if self.coupling < 0.0:
-            raise DomainError(f"coupling must be non-negative, got {self.coupling!r}")
+        check_scale("coupling", self.coupling, zero_ok=True)
 
 
 @dataclass(frozen=True)
@@ -93,18 +91,14 @@ def chain_energy(a: ChainAssignment, ch: ChainParams) -> float:
     """Canonical energy ``sum_s hbar*omega_s*(q_s + 1/2)``."""
     _check_assignment(a, ch)
     freqs = chain_frequencies(ch)
-    return sum(
-        ch.osc.hbar * w * (q + 0.5) for w, q in zip(freqs, a.levels)
-    )
+    return math.fsum(ch.osc.hbar * w * (q + 0.5) for w, q in zip(freqs, a.levels))
 
 
 def chain_effective_energy(a: ChainAssignment, mu: float, ch: ChainParams) -> float:
     """Per-mode effective sum ``sum_s [hbar*omega_s*(q_s + 1/2) - mu]``."""
     _check_assignment(a, ch)
     freqs = chain_frequencies(ch)
-    return sum(
-        ch.osc.hbar * w * (q + 0.5) - mu for w, q in zip(freqs, a.levels)
-    )
+    return math.fsum(ch.osc.hbar * w * (q + 0.5) - mu for w, q in zip(freqs, a.levels))
 
 
 @dataclass(frozen=True)
@@ -131,7 +125,7 @@ def grouped_form_energy(
     groups = a.level_groups()
     value = 0.0
     for q, members in sorted(groups.items()):
-        group_sum = sum(ch.osc.hbar * freqs[s - 1] * (q + 0.5) for s in members)
+        group_sum = math.fsum(ch.osc.hbar * freqs[s - 1] * (q + 0.5) for s in members)
         value += group_sum * len(members)
     value -= mu * len(a.levels)
     canonical = chain_effective_energy(a, mu, ch)
@@ -150,5 +144,5 @@ def q_min_chain(mu: float, q: int, a: ChainAssignment, ch: ChainParams) -> float
     if q not in groups:
         raise DomainError(f"no mode is assigned ladder index {q!r}")
     freqs = chain_frequencies(ch)
-    denom = sum(ch.osc.hbar * freqs[s - 1] for s in groups[q])
+    denom = math.fsum(ch.osc.hbar * freqs[s - 1] for s in groups[q])
     return mu / denom - 0.5

@@ -96,7 +96,7 @@ class GasOccupationState(OccupationState):
 def effective_energy_gas(occ: GasOccupationState, mu: float, g: GasParams) -> float:
     """Effective energy ``sum_{k,q} [eps_k + hbar*omega*(q+1/2) - mu] * n_{k,q}``."""
     occ.validate()
-    return sum((joint_energy(k, q, g) - mu) * n for (k, q), n in occ.items())
+    return math.fsum((joint_energy(k, q, g) - mu) * n for (k, q), n in occ.items())
 
 
 def q_min_gas(mu: float, k: int, g: GasParams) -> float:

@@ -11,6 +11,7 @@ mode costs nothing to populate and is not a confined excitation.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -92,7 +93,7 @@ def effective_energy_vibrational(
 ) -> float:
     """Grand-canonical effective energy ``sum_q [hbar*omega*(q+1/2) - mu] * n_q``."""
     occ.validate()
-    return sum(effective_frequency(q, mu, p) * n for q, n in occ.items())
+    return math.fsum(effective_frequency(q, mu, p) * n for q, n in occ.items())
 
 
 @dataclass(frozen=True)

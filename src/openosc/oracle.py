@@ -67,7 +67,7 @@ class Configuration:
         return sum(self.counts)
 
     def energy(self, modes: ModeSet) -> float:
-        return sum(e * n for e, n in zip(modes.energies, self.counts))
+        return math.fsum(e * n for e, n in zip(modes.energies, self.counts))
 
 
 def per_mode_limit(kind: StatisticsKind, cutoff: int) -> int:

@@ -14,7 +14,7 @@ holds ``2*floor(sqrt(r)) + 1`` identical terms, so
 The gas sums in physical units go column by column: column ``+-k`` is a
 ladder in ``q``, added level by level while ``x = beta*(E - mu) < 1``
 and closed by the fugacity expansion ``n(x) = sum_j (+-1)^(j+1) exp(-j*x)``,
-whose sums over ``q`` are geometric (``ladder_closing``).
+whose sums over ``q`` are geometric (``stats.ladder_closing``).
 
 Every adaptive sum below carries a closed-form tail bound, so a
 ``converged`` result certifies its own truncation error: the reduced
@@ -41,7 +41,9 @@ import numpy as np
 
 from .errors import ChemicalPotentialError, DomainError
 from .gas import GasParams
-from .stats import StatisticsKind, Thermo, fast_occupations, occupation_number
+from .stats import (
+    CLOSING_MIN_Y, StatisticsKind, Thermo, fast_occupations, ladder_closing, occupation_number
+)
 from .summation import (
     Block, SeriesResult, TruncationPolicy, block_sizes, certified_sum, geom_tails2
 )
@@ -191,9 +193,6 @@ def reduced_series_bound(mu: float) -> float:
 # Column k of the (k, q) grid is a ladder in q, with exponents x_0 + q*y for
 # y = beta*hbar*omega; columns k and -k are equal and summed as one.
 
-# A closing adds ceil(_FUGACITY_DEPTH / x) terms of the fugacity expansion.
-_FUGACITY_DEPTH = 46.0
-
 
 def _shell_sum(
     t: Thermo,
@@ -228,8 +227,7 @@ def _column_steps(
     a = g.translational_prefactor
     beta, mu = t.beta, t.mu
     y = beta * b
-    # 1/(1 - exp(-y))^2 overflows below y ~ 1e-154: such columns go level by level
-    x_close = 1.0 if y > 1e-150 else math.inf
+    x_close = 1.0 if y > CLOSING_MIN_Y else math.inf  # else level by level
     remainders = 0.0
     for k in itertools.count():
         mult = 2 if k else 1
@@ -258,41 +256,6 @@ def _column_steps(
             tail = remainders + _columns_after(k, t, g, kind, alpha, gamma)
             yield terms, [mult] * cut + [count], [math.inf] * cut + [tail]
             break
-
-
-def ladder_closing(
-    x: float, w: float, slope: float, y: float, kind: StatisticsKind
-) -> tuple[float, int, float]:
-    """``sum_{i >= 0} (w + slope*i) * n(x + i*y)`` for ``x >= 1``: value, terms, remainder.
-
-    For ``x > 0`` the occupation is its fugacity series
-    ``n(x) = sum_{j >= 1} s^(j+1) exp(-j*x)``, ``s = 1`` for bosons and
-    ``s = -1`` for fermions, and every sum over ``i`` is geometric:
-
-        sum_i (w + slope*i) n(x + i*y) = sum_{j >= 1} s^(j+1) T_j,
-        T_j = exp(-j*x) * [w/(1 - z_j) + slope*z_j/(1 - z_j)^2],  z_j = exp(-j*y).
-
-    The value is the ``math.fsum`` of the first ``J = ceil(46/x)`` terms,
-    with ``1 - z_j`` taken as ``-expm1(-j*y)``.  For ``w, slope >= 0`` the
-    bracket falls with ``j``, so ``T_{j+1} <= exp(-x) T_j`` and the dropped
-    terms add up to at most ``T_{J+1}/(1 - exp(-x))`` (bosons: positive,
-    geometric) or ``T_{J+1}`` (fermions: alternating).  That remainder,
-    rounded up by ``2**-48``, is returned; as the value is at least
-    ``(1 - exp(-x)) T_1`` and ``T_{J+1} <= exp(-46) T_1``, at ``x >= 1`` it
-    is below ``2**-64`` of the value and never decides where a sum stops.
-    """
-    depth = _FUGACITY_DEPTH / x
-    js = range(1, (math.ceil(depth) if depth > 1.0 else 1) + 2)  # J >= 1, also at x = inf or nan
-    terms = [
-        math.exp(-j * x) * (w / om + slope * math.exp(-j * y) / om / om)
-        for j, om in zip(js, [-math.expm1(-j * y) for j in js])
-    ]
-    remainder = terms.pop() * (1.0 + 2.0**-48)
-    if kind is StatisticsKind.FERMI:
-        terms[1::2] = [-term for term in terms[1::2]]
-    else:
-        remainder /= -math.expm1(-x)
-    return math.fsum(terms), len(terms), remainder
 
 
 def _columns_after(

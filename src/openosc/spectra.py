@@ -47,14 +47,26 @@ class OscillatorParams:
 
     def __post_init__(self) -> None:
         for name in ("hbar", "mass", "omega"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise DomainError(f"{name} must be positive, got {value!r}")
+            check_scale(name, getattr(self, name))
+        # hbar*omega can overflow or underflow where both factors are fine
+        check_scale("hbar*omega", self.quantum)
 
     @property
     def quantum(self) -> float:
         """Level spacing ``hbar * omega``."""
         return self.hbar * self.omega
+
+
+def check_scale(name: str, value: float, zero_ok: bool = False) -> None:
+    """Refuse a physical parameter or derived scale that is NaN, infinite, negative or zero.
+
+    With ``zero_ok`` zero passes, as the decoupling limit of a chain does.
+    """
+    if not (value >= 0.0 if zero_ok else value > 0.0):  # also NaN
+        sign = "non-negative" if zero_ok else "positive"
+        raise DomainError(f"{name} must be {sign}, got {value!r}")
+    if value == math.inf:
+        raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 def check_mu(mu: float) -> None:
@@ -144,8 +156,8 @@ def mode_energy(q: int, p: OscillatorParams) -> float:
 def ensemble_energy(occ: OccupationState, p: OscillatorParams) -> float:
     """Total energy ``sum_q hbar*omega*(q + 1/2) * n_q`` of an occupation state.
 
-    Levels are summed in ascending order so repeated evaluation of the same
-    state is bit-for-bit reproducible.
+    The sum is ``math.fsum``, correctly rounded, so the same state gives the
+    same bits on every Python version.
     """
     occ.validate()
-    return sum(mode_energy(q, p) * n for q, n in occ.items())
+    return math.fsum(mode_energy(q, p) * n for q, n in occ.items())

@@ -7,11 +7,16 @@ Single-level means follow the standard quantum ideal-gas form
 with the upper sign for bosons and the lower for fermions.  The Bose
 branch is only defined for ``beta * (eps - mu) > 0``; this module refuses
 invalid arguments instead of returning a negative "occupation".
+
+``ladder_closing`` adds a ladder's occupations from a level with ``x > 0``
+on in closed form; the ladder mean and the gas sums in ``series`` close
+their ladders with it.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import warnings
 from bisect import bisect_left
@@ -21,7 +26,9 @@ from typing import Iterator, Sequence
 from .errors import ChemicalPotentialError, DomainError
 from .gas import GasParams, joint_energy, q_min_gas, translational_energy
 from .spectra import OscillatorParams, check_mu
-from .summation import Block, SeriesResult, TruncationPolicy, block_sizes, certified_sum
+from .summation import (
+    _MAX_BLOCK, Block, SeriesResult, TruncationPolicy, block_sizes, certified_sum
+)
 
 __all__ = [
     "StatisticsKind",
@@ -40,6 +47,11 @@ _LARGE_X = 30.0
 # Below this the Bose mean exceeds ~1e12 and one ulp of x moves the result
 # by a full unit; the caller gets a warning rather than silent garbage.
 _TINY_X = 1e-12
+# A closing keeps at least ceil(_FUGACITY_DEPTH / x) terms of the fugacity expansion.
+_FUGACITY_DEPTH = 46.0
+# Below this y = beta*hbar*omega no ladder is closed: the kernel's
+# 1/(1 - exp(-y))^2 overflows near y ~ 1e-154.
+CLOSING_MIN_Y = 1e-150
 
 
 class StatisticsKind(enum.Enum):
@@ -140,9 +152,16 @@ def mean_particle_number(
     ``exp(-beta*hbar*omega)``; the reported tail bound is that geometric
     majorant, so ``converged`` is a certificate rather than a guess.
 
+    Unless the policy is met first, one closing step (``ladder_closing``)
+    adds the levels from the first with ``x >= sqrt(46*beta*hbar*omega)``
+    on, with its remainder as the tail bound, if it fits under
+    ``max_terms``: ~1.4k terms instead of ~210k at ``beta = 1e-4``.
+
     When ``occupations`` is a list, each summed occupation is appended to
-    it in level order, ``terms_used`` entries in all; the result is the
-    same either way.
+    it in level order, ``terms_used`` entries in all.  Such a call never
+    closes the ladder, as the CLI reports require; its result differs from
+    the closed one within both tail bounds and the rounding of the adds,
+    and not at all where the sum stops before the closing.
 
     Raises
     ------
@@ -175,7 +194,7 @@ def fast_occupations(xs: Sequence[float], kind: StatisticsKind) -> list[float] |
             1.0 / (math.exp(x) + 1.0) if x < 0.0 else (z := math.exp(-x)) / (1.0 + z)
             for x in xs
         ]
-    if not min(xs) >= _TINY_X:
+    if not min(xs, default=_TINY_X) >= _TINY_X:
         return None
     return [1.0 / math.expm1(x) if x <= _LARGE_X else (z := math.exp(-x)) / (1.0 - z) for x in xs]
 
@@ -201,8 +220,17 @@ def ladder_floor(x0: float, y: float, kind: StatisticsKind) -> float:
     return floor if floor < math.inf else 0.0
 
 
+def closing_start(y: float) -> float:
+    """Exponent ``x_c`` where a ladder mean closes, or ``inf`` for no closing.
+
+    ``x_c/y`` levels plus ~``46/x_c`` closing terms are least at
+    ``x_c = sqrt(46*y)``; no closing below ``CLOSING_MIN_Y`` or where ``46*y`` overflows.
+    """
+    return math.sqrt(_FUGACITY_DEPTH * y) if y > CLOSING_MIN_Y else math.inf
+
+
 def _ladder_stop(
-    t: Thermo, p: OscillatorParams, kind: StatisticsKind, policy: TruncationPolicy
+    t: Thermo, p: OscillatorParams, kind: StatisticsKind, policy: TruncationPolicy, x_c: float
 ) -> int:
     """Levels a ladder mean is predicted to sum, from its own tail bound.
 
@@ -210,14 +238,15 @@ def _ladder_stop(
     ``h(x) = exp(-x)`` (Fermi) or ``exp(-x) / (1 - exp(-x))`` (Bose),
     which falls with ``x``; against ``ladder_floor`` it meets the policy
     once ``x_{q+1}`` passes ``-log(c)`` or ``log1p(1/c)`` respectively,
-    with ``c`` the policy's threshold times ``1 - exp(-y)``.
+    with ``c`` the policy's threshold times ``1 - exp(-y)``.  A sum that
+    closes at ``x_c`` stops at the first level past it at the latest.
     """
     beta, mu, quantum = t.beta, t.mu, p.quantum
     try:
         floor = ladder_floor(beta * (quantum * 0.5 - mu), beta * quantum, kind)
         c = -math.expm1(-beta * quantum) * max(policy.rel_tol * floor, policy.abs_tol)
         x_stop = -math.log(c) if kind is StatisticsKind.FERMI else math.log1p(1.0 / c)
-        levels = (x_stop / beta + mu) / quantum - 0.5
+        levels = (min(x_stop, x_c) / beta + mu) / quantum - 0.5
     except (ArithmeticError, ValueError):
         return policy.max_terms
     if not levels < policy.max_terms:  # also NaN
@@ -238,31 +267,139 @@ def _ladder_steps(
     The energies repeat ``mode_energy``'s expression without its index
     check, which the generated ``q`` always passes.  Each block's
     occupations are appended to ``occupations``, also those past the
-    stopping level, which the caller cuts off.
+    stopping level, which the caller cuts off.  Without ``occupations``
+    the source ends with ``_closing_step`` at the first level with
+    ``x >= closing_start(y)``, if there is one.
     """
     beta, mu, quantum = t.beta, t.mu, p.quantum
     fermi = kind is StatisticsKind.FERMI
-    one_minus_ratio = -math.expm1(-beta * quantum)  # no cancellation at tiny y
+    y = beta * quantum
+    one_minus_ratio = -math.expm1(-y)  # no cancellation at tiny y
+    x_c = math.inf if occupations is not None else closing_start(y)
     start = 0
-    for size in block_sizes(_ladder_stop(t, p, kind, policy)):
+    for size in block_sizes(_ladder_stop(t, p, kind, policy, x_c)):
         levels = range(start, start + size + 1)
         start += size
         xs = [beta * (quantum * (q + 0.5) - mu) for q in levels]
+        close = bisect_left(xs, x_c, 0, size) if x_c < math.inf else size
+        closing = None
+        if close < size:
+            closing = _closing_step(xs[close], levels[close], y, kind, policy)
+            if closing is None:
+                x_c = math.inf  # no closing fits: the rest goes level by level
+            else:
+                size = close
+                levels = levels[: size + 1]
+                xs = xs[: size + 1]
         if fermi:
             # exp(-x) of a level is its occupation's z and the head of the tail before it
             heads = [math.exp(-x) if x > -700.0 else math.inf for x in xs]
             cut = bisect_left(xs, 0.0, 0, size)  # the levels before it have x < 0
             terms = [1.0 / (math.exp(x) + 1.0) for x in xs[:cut]]
             terms += [z / (1.0 + z) for z in heads[cut:size]]
-            tails = [head / one_minus_ratio for head in heads[1:]]
         else:
             terms = fast_occupations(xs[:-1], kind)
             if terms is None:
                 terms = [occupation_number(quantum * (q + 0.5), t, kind) for q in levels[:-1]]
+        if not one_minus_ratio:  # y = 0: no geometric tail bound
+            tails = [math.inf] * size
+        elif fermi:
+            tails = [head / one_minus_ratio for head in heads[1:]]
+        else:
             tails = [math.exp(-x) / -math.expm1(-x) / one_minus_ratio for x in xs[1:]]
         if occupations is not None:
             occupations.extend(terms)
-        yield terms, [1] * size, tails
+        if closing is None:
+            yield terms, [1] * size, tails
+            continue
+        value, count, remainder = closing
+        yield terms + [value], [1] * size + [count], tails + [remainder]
+        return
+
+
+def _closing_step(
+    x: float, head: int, y: float, kind: StatisticsKind, policy: TruncationPolicy
+) -> tuple[float, int, float] | None:
+    """The ladder's closing at ``x`` after ``head`` levels, or ``None`` if it would pass
+    ``max_terms`` or its remainder misses the policy (then the sum could not stop there)."""
+    count = closing_terms(x, policy.rel_tol)
+    if head + count > policy.max_terms:
+        return None
+    value, count, remainder = ladder_closing(x, 1.0, 0.0, y, kind, count)
+    return (value, count, remainder) if policy.satisfied(value, remainder) else None
+
+
+def closing_terms(x: float, rel_tol: float = 1.0) -> int:
+    """Fugacity terms ``J = max(1, ceil(D/x))`` a closing at ``x`` keeps (see ``ladder_closing``).
+
+    ``D = max(46, log(2/c) - log(1 - exp(-x)))`` with ``c = min(2**-64, rel_tol)``.
+    """
+    tol = min(2.0**-64, rel_tol)
+    depth = max(_FUGACITY_DEPTH, math.log(2.0) - math.log(tol) - math.log(-math.expm1(-x))) / x
+    return math.ceil(depth) if depth > 1.0 else 1  # also at x = inf or nan
+
+
+def ladder_closing(
+    x: float, w: float, slope: float, y: float, kind: StatisticsKind, count: int | None = None
+) -> tuple[float, int, float]:
+    """``sum_{i >= 0} (w + slope*i) * n(x + i*y)`` for ``x > 0``: value, terms, remainder.
+
+    For ``x > 0`` the occupation is its fugacity series
+    ``n(x) = sum_{j >= 1} s^(j+1) exp(-j*x)``, ``s = 1`` for bosons and
+    ``s = -1`` for fermions, and every sum over ``i`` is geometric:
+
+        sum_i (w + slope*i) n(x + i*y) = sum_{j >= 1} s^(j+1) T_j,
+        T_j = exp(-j*x) * [w/(1 - z_j) + slope*z_j/(1 - z_j)^2],  z_j = exp(-j*y).
+
+    The value is the ``math.fsum`` of the first ``J`` terms (``count``, by
+    default ``closing_terms(x)``), in pieces of at most ``_MAX_BLOCK``, with
+    ``1 - z_j`` taken as ``-expm1(-j*y)``.  For ``w, slope >= 0`` the bracket
+    falls with ``j``, so ``T_{j+1} <= exp(-x) T_j`` and the dropped terms
+    add up to at most ``T_{J+1}/(1 - exp(-x))`` (bosons: positive,
+    geometric) or ``T_{J+1}`` (fermions: alternating); that remainder,
+    rounded up by ``2**-48``, is returned.  The value is at least ``T_1``
+    (bosons) or ``T_1 - T_2 >= (1 - exp(-x)) T_1`` (fermions), so for both
+
+        remainder / value <= exp(-J*x) / (1 - exp(-x)) <= c/2
+
+    once ``J*x >= log(2/c) - log(1 - exp(-x))``, the rule of
+    ``closing_terms``: below ``2**-64`` of the value, or ``rel_tol`` if
+    smaller, with a factor 2 to spare for rounding.  Below ``x = 1`` that
+    takes ~``log(1/(1 - exp(-x)))/x`` terms more than ``46/x``; from
+    ``x = 1`` up, at ``rel_tol >= 2**-64``, ``J = ceil(46/x)`` as before.
+    """
+    if count is None:
+        count = closing_terms(x)
+    fermi = kind is StatisticsKind.FERMI
+    if count < _MAX_BLOCK:  # one piece, T_{J+1} with it: every gas closing
+        terms = _fugacity_terms(1, count + 2, x, w, slope, y, fermi)
+        remainder = abs(terms.pop())
+        value = math.fsum(terms)
+    else:
+        pieces = (
+            _fugacity_terms(j, min(j + _MAX_BLOCK, count + 1), x, w, slope, y, fermi)
+            for j in range(1, count + 1, _MAX_BLOCK)
+        )
+        value = math.fsum(itertools.chain.from_iterable(pieces))
+        remainder = _fugacity_terms(count + 1, count + 2, x, w, slope, y, False)[0]
+    remainder *= 1.0 + 2.0**-48
+    if not fermi:
+        remainder /= -math.expm1(-x)
+    return value, count, remainder
+
+
+def _fugacity_terms(
+    start: int, stop: int, x: float, w: float, slope: float, y: float, fermi: bool
+) -> list[float]:
+    """``s^(j+1) T_j`` for ``start <= j < stop``, ``start`` odd."""
+    js = range(start, stop)
+    terms = [
+        math.exp(-j * x) * (w / om + slope * math.exp(-j * y) / om / om)
+        for j, om in zip(js, [-math.expm1(-j * y) for j in js])
+    ]
+    if fermi:
+        terms[1::2] = [-term for term in terms[1::2]]
+    return terms
 
 
 @dataclass(frozen=True)

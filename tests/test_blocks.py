@@ -6,9 +6,11 @@ formulas as first written: one ``(term, count, tail)`` step per generator resume
 ``occupation_number`` call per level and one test of the stopping rule per
 step.  The package evaluates whole blocks of steps instead; these tests pin
 that every ladder and reduced-series ``SeriesResult`` and every handed-back
-occupation keeps its exact bits, wherever the blocks start and end.  The gas
-sums now go column by column, so they must agree with the diagonal shells
-within both certified tail bounds and the rounding of both plain sums.
+occupation keeps its exact bits, wherever the blocks start and end, and so
+does a ladder mean without occupations while it stops before its closing.
+Past that point it closes the ladder by the fugacity expansion, as the gas
+sums close each column, so both must agree with the step references within
+both certified tail bounds and the rounding of both sums.
 """
 
 import itertools
@@ -32,7 +34,9 @@ from openosc import (
     occupation_number,
     reduced_series,
 )
+from openosc import stats
 from openosc.series import _column_steps, _safe_exp
+from openosc.stats import _ladder_steps, closing_start
 from openosc.summation import _MAX_BLOCK
 
 BOSE = StatisticsKind.BOSE
@@ -165,25 +169,37 @@ def shells(t, g, kind, weight, policy):
     return equilibrium_effective_energy(t, g, kind, policy, mu_shifted=weight == "effective")
 
 
-def check_shells(t, g, kind, weight, policy):
-    """The column sum against the shell steps: within both tails plus both roundings."""
-    result = shells(t, g, kind, weight, policy)
-    expected = reference_shells(t, g, kind, weight, policy)
+def check_close(result, expected):
+    """Within both tails plus the rounding of both sums, the rule of bench/checks.py."""
     terms = result.terms_used + expected.terms_used + 16
     slack = result.tail_bound + expected.tail_bound + terms * 2.0**-53 * abs(expected.value)
     assert abs(result.value - expected.value) <= slack, (result, expected)
+
+
+def check_shells(t, g, kind, weight, policy):
+    """The column sum against the shell steps."""
+    result = shells(t, g, kind, weight, policy)
+    check_close(result, reference_shells(t, g, kind, weight, policy))
     return result
 
 
 def check_ladder(beta, mu, kind, policy, omega=1.0):
+    """Both ladder paths against the steps: with occupations bit for bit, closed as far
+    as the closing allows."""
     p = OscillatorParams(omega=omega)
     t = Thermo(beta, mu)
     expected_rows = []
     expected = reference_mean(t, p, kind, policy, expected_rows)
     rows = ["kept"]
     assert mean_particle_number(t, p, kind, policy, occupations=rows) == expected
-    assert mean_particle_number(t, p, kind, policy) == expected
     assert rows == ["kept"] + expected_rows
+    closed = mean_particle_number(t, p, kind, policy)
+    # the last level the steps added, stopped by the policy or the cap
+    x_last = beta * (p.quantum * (expected.terms_used - 0.5) - mu)
+    if x_last < closing_start(beta * p.quantum):
+        assert closed == expected
+    else:
+        check_close(closed, expected)
     return expected
 
 
@@ -283,13 +299,68 @@ def test_ladder_blocks_at_extreme_inputs(kind, beta, mu):
             assert repr(rows) == repr(expected_rows)
 
 
+@pytest.mark.parametrize(
+    "beta, mu",
+    [(1.0, -math.inf), (1.0, math.inf), (math.inf, -5.0), (math.inf, 3.0), (1e300, 3.0),
+     (1e-300, -5.0), (math.inf, 0.5), (1e-300, -1e300), (1e-100, -1e90)],
+)
+@pytest.mark.parametrize("kind", [BOSE, FERMI])
+def test_closed_ladder_at_extreme_inputs(kind, beta, mu):
+    # Without occupations: the error of the occupations path, or a result within
+    # its certificate.  At beta = 1e-300, mu = -1e300 the ground level has x = 1
+    # but y = 1e-300 is too small to close; at beta = 1e-100, mu = -1e90 it has
+    # x = 1e-10, past x_c ~ 7e-50, but the closing's ~7e11 terms exceed the cap.
+    t = Thermo(beta, mu)
+    policies = [
+        TruncationPolicy(max_terms=3000),
+        TruncationPolicy(abs_tol=1e300, max_terms=3000),
+        TruncationPolicy(rel_tol=1.0, abs_tol=0.0, max_terms=50),
+        TruncationPolicy(rel_tol=1e-300, abs_tol=0.0, max_terms=3000),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for policy in policies:
+            expected = outcome(lambda: mean_particle_number(t, REDUCED, kind, policy, []))
+            if outcome(lambda: mean_particle_number(t, REDUCED, kind, policy)) != expected:
+                # a different result, never a different error: both calls must return
+                check_close(
+                    mean_particle_number(t, REDUCED, kind, policy),
+                    reference_mean(t, REDUCED, kind, policy),
+                )
+
+
 def test_ladder_tiny_exponent_warning_fires_once_per_sum():
-    # Under the default filter one call site reports once per sum.
-    policy = TruncationPolicy(max_terms=3 * _MAX_BLOCK)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("default")
-        mean_particle_number(Thermo(1e-17, 0.0), REDUCED, BOSE, policy)
-    assert [w.category for w in caught] == [RuntimeWarning]
+    # Under the default filter one call site reports once per sum, also when the
+    # levels that warn are followed by a closing.
+    for beta, mu, closes in ((1e-17, 0.0, False), (1e-4, 0.5 - 1e-9, True)):
+        policy = TruncationPolicy(max_terms=3 * _MAX_BLOCK if not closes else 10**4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            result = mean_particle_number(Thermo(beta, mu), REDUCED, BOSE, policy)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert result.converged is closes
+
+
+def test_closed_ladder_builds_no_list_longer_than_a_block(monkeypatch):
+    # beta = 1e-8: ~68k head levels, then a closing of ~77k fugacity terms.
+    built = []
+
+    def recorded(*args, _terms=stats._fugacity_terms):
+        terms = _terms(*args)
+        built.append(len(terms))
+        return terms
+
+    monkeypatch.setattr(stats, "_fugacity_terms", recorded)
+    for kind in (BOSE, FERMI):
+        policy = TruncationPolicy()
+        blocks = list(_ladder_steps(Thermo(1e-8, 0.0), REDUCED, kind, policy, None))
+        assert all(len(terms) == len(counts) == len(tails) <= _MAX_BLOCK
+                   for terms, counts, tails in blocks)
+        closing = blocks[-1][1][-1]
+        assert closing > 50_000
+        assert sum(built) == closing + 1  # the kept terms and T_{J+1}
+        assert max(built) <= _MAX_BLOCK
+        built.clear()
 
 
 # --- the reduced series -------------------------------------------------------

@@ -1,8 +1,10 @@
 """End-to-end tests of the command line interface."""
 
+import builtins
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -279,6 +281,75 @@ def test_reports_match_the_frozen_golden_bytes(kind, fmt, tmp_path):
     assert target.read_bytes() == (GOLDEN / f"{kind}.{fmt}").read_bytes()
 
 
+_PLAIN_SUM = builtins.sum
+
+
+def compensated_sum(iterable, /, start=0):
+    """``sum`` as Python 3.12 and later add floats: Neumaier-compensated (CPython gh-100425).
+
+    A float after a float is added with compensation, anything else plainly,
+    and the compensation is added at the end if it is finite and non-zero.
+    """
+    total, compensation = start, 0.0
+    for item in iterable:
+        if isinstance(total, float) and isinstance(item, float):
+            t = total + item
+            if abs(total) >= abs(item):
+                compensation += (total - t) + item
+            else:
+                compensation += (item - t) + total
+            total = t
+        else:
+            total = total + item
+    if isinstance(total, float) and compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def chain_corpus(count=40, seed=7):
+    """Chain jobs with assignments; the first changed its bytes under ``compensated_sum``."""
+    rng = random.Random(seed)
+    jobs = [["chain", "--count", "6", "--coupling", "0.45", "--mu", "0.2",
+             "--levels", "3,5,4,0,4,0"]]
+    for _ in range(count - 1):
+        n = rng.randint(2, 8)
+        levels = ",".join(str(rng.randint(0, 6)) for _ in range(n))
+        jobs.append(["chain", "--count", str(n), "--coupling", repr(rng.uniform(0.0, 2.0)),
+                     "--mu", repr(rng.uniform(-1.0, 3.0)), "--levels", levels])
+    return jobs
+
+
+def test_compensated_sum_emulation_matches_the_plain_sum_on_exact_cases():
+    assert compensated_sum([1, 2, 3]) == 6
+    assert compensated_sum([0.1] * 10) == 1.0  # the plain sum gives 0.9999999999999999
+    assert compensated_sum([1e100, 1.0, -1e100]) == 1.0
+    assert compensated_sum([], 2.5) == 2.5
+
+
+def test_reports_keep_their_bytes_under_a_compensated_sum(monkeypatch, tmp_path):
+    # From Python 3.12 the builtin sum compensates float adds, so a report that
+    # adds floats with it changes its bits with the Python version.
+    golden = [(kind, fmt) for kind in sorted(JOB_ARGS) for fmt in ("csv", "json")]
+    jobs = [JOB_ARGS[kind][:1] + ["--format", fmt] + JOB_ARGS[kind][1:] for kind, fmt in golden]
+    jobs += chain_corpus()
+
+    def reports():
+        texts = []
+        for i, args in enumerate(jobs):
+            target = tmp_path / f"{i}.out"
+            assert main(args[:1] + ["-o", str(target)] + args[1:]) == 0
+            texts.append(target.read_bytes())
+        return texts
+
+    plain = reports()
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    compensated = reports()
+    monkeypatch.undo()
+    assert compensated == plain
+    frozen = [(GOLDEN / f"{kind}.{fmt}").read_bytes() for kind, fmt in golden]
+    assert plain[: len(golden)] == frozen
+
+
 def test_bounds_report_passes(tmp_path):
     _, target = run_to_file(JOB_ARGS["bounds"], tmp_path)
     meta, header, rows = parse_csv(target.read_text())
@@ -358,6 +429,32 @@ def test_nan_mu_exits_3(args, tmp_path, capsys):
     error = json.loads(lines[0])["error"]
     assert error["type"] == "DomainError"
     assert "mu" in error["message"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["stats", "--stat", "fermi", "--omega", "1e-9", "--hbar", "5e-324"],
+     "hbar*omega must be positive, got 0.0"),
+    (["spectrum", "--omega", "1e-17", "--hbar", "5e-324", "--mu", "709.9"],
+     "hbar*omega must be positive, got 0.0"),
+    (["gas", "--omega", "5e-324", "--hbar", "0.5"], "hbar*omega must be positive, got 0.0"),
+    (["gas", "--omega", "inf", "--kmax", "1", "--qmax", "1"], "omega must be finite, got inf"),
+    (["chain", "--count", "2", "--coupling", "nan"], "coupling must be non-negative, got nan"),
+    (["chain", "--count", "2", "--coupling", "inf"], "coupling must be finite, got inf"),
+    (["stats", "--stat", "bose", "--hbar", "1e200", "--omega", "1e200"],
+     "hbar*omega must be finite, got inf"),
+], ids=["stats-quantum-underflow", "spectrum-quantum-underflow", "gas-quantum-underflow",
+        "gas-omega-inf", "chain-coupling-nan", "chain-coupling-inf", "stats-quantum-overflow"])
+def test_non_finite_or_vanishing_scales_exit_3(args, message, tmp_path, capsys):
+    # hbar*omega underflowing to 0 died with a ZeroDivisionError traceback
+    # (exit 1); an infinite omega or a NaN coupling wrote inf or nan cells.
+    code, target = run_to_file(args, tmp_path)
+    assert code == 3
+    assert not target.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "DomainError"
+    assert error["message"] == message
 
 
 def test_sweep_report_shape(tmp_path):

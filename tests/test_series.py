@@ -27,7 +27,8 @@ from openosc import (
     reduced_series_bound,
     verify_series_estimates,
 )
-from openosc.series import _columns_after, ladder_closing
+from openosc.series import _columns_after
+from openosc.stats import ladder_closing
 from openosc.summation import certified_sum, geom_tails2
 
 RG = GasParams.reduced()

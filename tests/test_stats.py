@@ -6,10 +6,11 @@ and geometric-series formulas for single levels, and plain 30-term partial
 sums with hand-bounded remainders for ladder means.
 """
 
+import decimal
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from openosc import (
@@ -27,6 +28,7 @@ from openosc import (
     occupation_number,
     translational_energy,
 )
+from openosc.stats import closing_terms, ladder_closing
 
 REDUCED = OscillatorParams()
 RG = GasParams.reduced()
@@ -208,9 +210,16 @@ def test_ladder_mean_reports_non_convergence():
     ids=["bose", "fermi", "bose-deep", "fermi-capped"],
 )
 def test_ladder_mean_hands_back_its_summed_occupations(kind, t, policy, converged):
+    # A call that asks for the occupations adds every level; one that does not
+    # closes the ladder at x >= sqrt(46*beta*hbar*omega), unless it stops
+    # before that (fermi-capped), so it agrees within both certificates.
     occupations = []
     result = mean_particle_number(t, REDUCED, kind, policy, occupations=occupations)
-    assert result == mean_particle_number(t, REDUCED, kind, policy)
+    closed = mean_particle_number(t, REDUCED, kind, policy)
+    if closed != result:
+        assert closed.converged and closed.terms_used < result.terms_used
+        rounding = (closed.terms_used + result.terms_used + 16) * 2.0**-53 * result.value
+        assert abs(closed.value - result.value) <= closed.tail_bound + result.tail_bound + rounding
     assert len(occupations) == result.terms_used
     assert occupations == [
         occupation_number(mode_energy(q, REDUCED), t, kind) for q in range(result.terms_used)
@@ -312,3 +321,81 @@ def test_ladder_certificate_covers_accumulated_rounding():
     # Every term is positive, so the exact sum is at least the correctly
     # rounded sum of the summed terms.
     assert math.fsum(occupations) - result.value <= result.tail_bound
+
+
+# --- the closing below x = 1 ---------------------------------------------------
+
+
+def decimal_ladder(x, w, slope, y, kind, span=60, digits=40):
+    """(sum, bound on the rest) of sum_i (w + slope*i) * n(x + i*y) over x + i*y < x + span.
+
+    Level by level in `digits`-digit decimal, exp(-x) stepped by exp(-y).  Past
+    the last level every n is at most p_i/(1 - p) (p its first exp(-x_i)), so
+    the rest is at most that times a weighted geometric sum in closed form.
+    """
+    sign = 1 if kind is BOSE else -1
+    d = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        x, w, slope, y = d(x), d(w), d(slope), d(y)
+        ratio = (-y).exp()
+        p = (-x).exp()
+        total = d(0)
+        end = x + span
+        while x < end:
+            total += w * p / (1 - sign * p)
+            x += y
+            w += slope
+            p *= ratio
+        rest = p / (1 - p) * (w / (1 - ratio) + slope * ratio / (1 - ratio) ** 2)
+        return total, rest
+
+
+@given(
+    kind=st.sampled_from([BOSE, FERMI]),
+    x=st.floats(1e-4, 1.0, exclude_max=True),
+    y=st.floats(1e-3, 1.0),
+    weight=st.one_of(st.just((1.0, 0.0)), st.tuples(st.floats(0.5, 20.0), st.just(1.0))),
+)
+@settings(max_examples=30, deadline=None)
+@example(kind=BOSE, x=1e-4, y=1e-3, weight=(1.0, 0.0))
+@example(kind=FERMI, x=1e-4, y=1e-3, weight=(20.0, 1.0))
+@example(kind=FERMI, x=0.999, y=1.0, weight=(1.0, 0.0))
+def test_closing_below_unit_exponent_against_a_decimal_ladder(kind, x, y, weight):
+    # Below x = 1 the value is only at least (1 - exp(-x)) T_1; closing_terms
+    # adds the terms that keeps the remainder below 2**-64 of the value.
+    w, slope = weight
+    value, count, remainder = ladder_closing(x, w, slope, y, kind)
+    assert count == closing_terms(x)
+    # the proof's bound exp(-J*x)/(1 - exp(-x)) on remainder/value is below 2**-65
+    assert count * x >= 65 * math.log(2.0) - math.log(-math.expm1(-x))
+    assert remainder <= 2.0**-64 * abs(value)
+    lo, rest = decimal_ladder(x, w, slope, y, kind)
+    d = decimal.Decimal
+    allowance = d(remainder) + d((count + 16) * 2.0**-53 * abs(value))
+    # the exact sum lies in [lo, lo + rest]
+    assert d(value) - lo <= allowance
+    assert lo + rest - d(value) <= allowance
+
+
+@pytest.mark.parametrize("kind", [BOSE, FERMI])
+def test_ladder_closing_meets_the_tightest_relative_tolerance(kind):
+    # A fixed J = ceil(46/x) leaves a remainder of ~2**-64 of the value, which
+    # never meets rel_tol = 1e-300; certified_sum then ran out of steps.
+    policy = TruncationPolicy(rel_tol=1e-300, abs_tol=0.0)
+    result = mean_particle_number(Thermo(1e-4, 0.0), REDUCED, kind, policy)
+    assert result.converged
+    assert result.terms_used < 20_000
+    assert result.tail_bound <= 1e-300 * result.value
+
+
+def test_ladder_at_an_underflowing_level_spacing_reports_the_cap():
+    # beta*hbar*omega = 1e-330 rounds to 0.0: no geometric tail bound exists,
+    # where the tails divided by 1 - exp(-y) = 0.0 before.
+    t, p = Thermo(1e-300, 0.0), OscillatorParams(omega=1e-30)
+    policy = TruncationPolicy(max_terms=1000)
+    for occupations in (None, []):
+        result = mean_particle_number(t, p, FERMI, policy, occupations)
+        assert not result.converged
+        assert result.terms_used == 1000
+        assert result.tail_bound == math.inf
