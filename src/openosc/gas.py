@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .spectra import OccupationState, OscillatorParams, check_mu, level_index, mode_energy
+from .spectra import (
+    OccupationState, OscillatorParams, check_mu, check_scale, level_index, mode_energy
+)
 
 __all__ = [
     "GasParams",
@@ -37,18 +39,14 @@ class GasParams:
     box_length: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.box_length > 0.0:
-            raise DomainError(f"box_length must be positive, got {self.box_length!r}")
+        check_scale("box_length", self.box_length)
         # An infinite prefactor would make eps_0 = prefactor * 0 a nan; a zero
         # one would erase the free branch.
         try:
             prefactor = self.translational_prefactor
         except (OverflowError, ZeroDivisionError):
             prefactor = math.inf
-        if not 0.0 < prefactor < math.inf:
-            raise DomainError(
-                f"translational prefactor must be finite and positive, got {prefactor!r}"
-            )
+        check_scale("translational prefactor", prefactor)
 
     @property
     def translational_prefactor(self) -> float:

@@ -19,7 +19,7 @@ whose sums over ``q`` are geometric (``stats.ladder_closing``).
 Every adaptive sum below carries a closed-form tail bound, so a
 ``converged`` result certifies its own truncation error: the reduced
 series through ``sum_{r >= m} r^2 x^r``, a gas sum through each closing's
-remainder (under ``2**-64`` of it) plus a bound on all later columns
+remainder (under ``2**-64`` of it, or ``rel_tol`` if smaller) plus a bound on all later columns
 (``_columns_after``).  Neither covers the rounding of the driver's plain
 adds, at most ``(terms_used + 16) * 2**-53 * |value|`` for positive
 terms: ~90 times less for a gas sum of ~2k terms (``beta = 0.011``) than
@@ -210,11 +210,11 @@ def _shell_sum(
         )
     if not math.isfinite(gamma):  # E - mu at an infinite mu: inf * 0 on every level
         raise DomainError(f"the weight E - mu is not finite at mu = {t.mu!r}")
-    return certified_sum(_column_steps(t, g, kind, alpha, gamma), policy)
+    return certified_sum(_column_steps(t, g, kind, alpha, gamma, policy.rel_tol), policy)
 
 
 def _column_steps(
-    t: Thermo, g: GasParams, kind: StatisticsKind, alpha: float, gamma: float
+    t: Thermo, g: GasParams, kind: StatisticsKind, alpha: float, gamma: float, rel_tol: float
 ) -> Iterator[Block]:
     """Blocks of columns ``k = 0, 1, ...``: the head levels, then one closing step.
 
@@ -249,7 +249,7 @@ def _column_steps(
                 yield terms, [mult] * size, [math.inf] * size
                 continue
             value, count, remainder = ladder_closing(
-                xs[cut], alpha * energies[cut] + gamma, alpha * b, y, kind
+                xs[cut], alpha * energies[cut] + gamma, alpha * b, y, kind, rel_tol
             )
             remainders += mult * remainder
             terms.append(mult * value)

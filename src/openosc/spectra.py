@@ -62,11 +62,11 @@ def check_scale(name: str, value: float, zero_ok: bool = False) -> None:
 
     With ``zero_ok`` zero passes, as the decoupling limit of a chain does.
     """
+    sign = "non-negative" if zero_ok else "positive"
     if not (value >= 0.0 if zero_ok else value > 0.0):  # also NaN
-        sign = "non-negative" if zero_ok else "positive"
         raise DomainError(f"{name} must be {sign}, got {value!r}")
     if value == math.inf:
-        raise DomainError(f"{name} must be finite, got {value!r}")
+        raise DomainError(f"{name} must be finite and {sign}, got {value!r}")
 
 
 def check_mu(mu: float) -> None:

@@ -309,12 +309,11 @@ def _ladder_steps(
             tails = [math.exp(-x) / -math.expm1(-x) / one_minus_ratio for x in xs[1:]]
         if occupations is not None:
             occupations.extend(terms)
-        if closing is None:
-            yield terms, [1] * size, tails
-            continue
-        value, count, remainder = closing
-        yield terms + [value], [1] * size + [count], tails + [remainder]
-        return
+        if closing is not None:
+            value, count, remainder = closing
+            yield terms + [value], [1] * size + [count], tails + [remainder]
+            return
+        yield terms, [1] * size, tails
 
 
 def _closing_step(
@@ -322,14 +321,13 @@ def _closing_step(
 ) -> tuple[float, int, float] | None:
     """The ladder's closing at ``x`` after ``head`` levels, or ``None`` if it would pass
     ``max_terms`` or its remainder misses the policy (then the sum could not stop there)."""
-    count = closing_terms(x, policy.rel_tol)
-    if head + count > policy.max_terms:
+    if head + closing_terms(x, policy.rel_tol) > policy.max_terms:
         return None
-    value, count, remainder = ladder_closing(x, 1.0, 0.0, y, kind, count)
-    return (value, count, remainder) if policy.satisfied(value, remainder) else None
+    closing = ladder_closing(x, 1.0, 0.0, y, kind, policy.rel_tol)
+    return closing if policy.satisfied(closing[0], closing[2]) else None
 
 
-def closing_terms(x: float, rel_tol: float = 1.0) -> int:
+def closing_terms(x: float, rel_tol: float) -> int:
     """Fugacity terms ``J = max(1, ceil(D/x))`` a closing at ``x`` keeps (see ``ladder_closing``).
 
     ``D = max(46, log(2/c) - log(1 - exp(-x)))`` with ``c = min(2**-64, rel_tol)``.
@@ -340,7 +338,7 @@ def closing_terms(x: float, rel_tol: float = 1.0) -> int:
 
 
 def ladder_closing(
-    x: float, w: float, slope: float, y: float, kind: StatisticsKind, count: int | None = None
+    x: float, w: float, slope: float, y: float, kind: StatisticsKind, rel_tol: float
 ) -> tuple[float, int, float]:
     """``sum_{i >= 0} (w + slope*i) * n(x + i*y)`` for ``x > 0``: value, terms, remainder.
 
@@ -351,14 +349,14 @@ def ladder_closing(
         sum_i (w + slope*i) n(x + i*y) = sum_{j >= 1} s^(j+1) T_j,
         T_j = exp(-j*x) * [w/(1 - z_j) + slope*z_j/(1 - z_j)^2],  z_j = exp(-j*y).
 
-    The value is the ``math.fsum`` of the first ``J`` terms (``count``, by
-    default ``closing_terms(x)``), in pieces of at most ``_MAX_BLOCK``, with
-    ``1 - z_j`` taken as ``-expm1(-j*y)``.  For ``w, slope >= 0`` the bracket
-    falls with ``j``, so ``T_{j+1} <= exp(-x) T_j`` and the dropped terms
-    add up to at most ``T_{J+1}/(1 - exp(-x))`` (bosons: positive,
-    geometric) or ``T_{J+1}`` (fermions: alternating); that remainder,
-    rounded up by ``2**-48``, is returned.  The value is at least ``T_1``
-    (bosons) or ``T_1 - T_2 >= (1 - exp(-x)) T_1`` (fermions), so for both
+    The value is the ``math.fsum`` of the first ``J = closing_terms(x, rel_tol)``
+    terms, in pieces of at most ``_MAX_BLOCK``, with ``1 - z_j`` taken as
+    ``-expm1(-j*y)``.  For ``w, slope >= 0`` the bracket falls with ``j``,
+    so ``T_{j+1} <= exp(-x) T_j`` and the dropped terms add up to at most
+    ``T_{J+1}/(1 - exp(-x))`` (bosons: positive, geometric) or ``T_{J+1}``
+    (fermions: alternating); that remainder, rounded up by ``2**-48``, is
+    returned.  The value is at least ``T_1`` (bosons) or
+    ``T_1 - T_2 >= (1 - exp(-x)) T_1`` (fermions), so for both
 
         remainder / value <= exp(-J*x) / (1 - exp(-x)) <= c/2
 
@@ -366,22 +364,16 @@ def ladder_closing(
     ``closing_terms``: below ``2**-64`` of the value, or ``rel_tol`` if
     smaller, with a factor 2 to spare for rounding.  Below ``x = 1`` that
     takes ~``log(1/(1 - exp(-x)))/x`` terms more than ``46/x``; from
-    ``x = 1`` up, at ``rel_tol >= 2**-64``, ``J = ceil(46/x)`` as before.
+    ``x = 1`` up, at ``rel_tol >= 2**-64``, ``J = ceil(46/x)``.
     """
-    if count is None:
-        count = closing_terms(x)
+    count = closing_terms(x, rel_tol)
     fermi = kind is StatisticsKind.FERMI
-    if count < _MAX_BLOCK:  # one piece, T_{J+1} with it: every gas closing
-        terms = _fugacity_terms(1, count + 2, x, w, slope, y, fermi)
-        remainder = abs(terms.pop())
-        value = math.fsum(terms)
-    else:
-        pieces = (
-            _fugacity_terms(j, min(j + _MAX_BLOCK, count + 1), x, w, slope, y, fermi)
-            for j in range(1, count + 1, _MAX_BLOCK)
-        )
-        value = math.fsum(itertools.chain.from_iterable(pieces))
-        remainder = _fugacity_terms(count + 1, count + 2, x, w, slope, y, False)[0]
+    pieces = (
+        _fugacity_terms(j, min(j + _MAX_BLOCK, count + 1), x, w, slope, y, fermi)
+        for j in range(1, count + 1, _MAX_BLOCK)
+    )
+    value = math.fsum(itertools.chain.from_iterable(pieces))
+    remainder = _fugacity_terms(count + 1, count + 2, x, w, slope, y, False)[0]
     remainder *= 1.0 + 2.0**-48
     if not fermi:
         remainder /= -math.expm1(-x)

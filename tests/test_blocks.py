@@ -436,6 +436,6 @@ def test_shell_blocks_overshoot_the_cap_like_the_steps():
 def test_column_blocks_stay_within_the_block_size(beta):
     # At beta = 1e-6 column 0 alone holds a million levels with x < 1.
     for kind in (BOSE, FERMI):
-        blocks = _column_steps(Thermo(beta, 0.0), RG, kind, 1.0, 0.0)
+        blocks = _column_steps(Thermo(beta, 0.0), RG, kind, 1.0, 0.0, TruncationPolicy().rel_tol)
         for terms, counts, tails in itertools.islice(blocks, 40):
             assert len(terms) == len(counts) == len(tails) <= _MAX_BLOCK

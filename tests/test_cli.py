@@ -437,11 +437,13 @@ def test_nan_mu_exits_3(args, tmp_path, capsys):
     (["spectrum", "--omega", "1e-17", "--hbar", "5e-324", "--mu", "709.9"],
      "hbar*omega must be positive, got 0.0"),
     (["gas", "--omega", "5e-324", "--hbar", "0.5"], "hbar*omega must be positive, got 0.0"),
-    (["gas", "--omega", "inf", "--kmax", "1", "--qmax", "1"], "omega must be finite, got inf"),
+    (["gas", "--omega", "inf", "--kmax", "1", "--qmax", "1"],
+     "omega must be finite and positive, got inf"),
     (["chain", "--count", "2", "--coupling", "nan"], "coupling must be non-negative, got nan"),
-    (["chain", "--count", "2", "--coupling", "inf"], "coupling must be finite, got inf"),
+    (["chain", "--count", "2", "--coupling", "inf"],
+     "coupling must be finite and non-negative, got inf"),
     (["stats", "--stat", "bose", "--hbar", "1e200", "--omega", "1e200"],
-     "hbar*omega must be finite, got inf"),
+     "hbar*omega must be finite and positive, got inf"),
 ], ids=["stats-quantum-underflow", "spectrum-quantum-underflow", "gas-quantum-underflow",
         "gas-omega-inf", "chain-coupling-nan", "chain-coupling-inf", "stats-quantum-overflow"])
 def test_non_finite_or_vanishing_scales_exit_3(args, message, tmp_path, capsys):

@@ -301,6 +301,23 @@ def test_shell_sum_at_tiny_beta_reports_the_cap():
         assert result.terms_used >= policy.max_terms
 
 
+@pytest.mark.parametrize("kind", [FERMI, BOSE], ids=["fermi", "bose"])
+@pytest.mark.parametrize("mu_shifted", [False, True], ids=["energy", "effective_energy"])
+def test_shell_sum_meets_a_relative_tolerance_below_two_to_the_minus_64(kind, mu_shifted):
+    # Closings that ignored the policy kept ~2**-64 of their column, so at
+    # rel_tol = 1e-25 the remainders alone missed it and the sum ran to its
+    # cap (100,000 terms); with the policy's rel_tol it stops in a few hundred.
+    policy = TruncationPolicy(rel_tol=1e-25, abs_tol=0.0, max_terms=10**5)
+    t = Thermo(0.3, 0.0)
+    for result in (
+        equilibrium_particle_number(t, RG, kind, policy),
+        equilibrium_effective_energy(t, RG, kind, policy, mu_shifted=mu_shifted),
+    ):
+        assert result.converged
+        assert result.terms_used < 1000
+        assert result.tail_bound <= 1e-25 * abs(result.value)
+
+
 # --- the column sums against 40-digit references ------------------------------
 #
 # On the reduced gas (eps_k = k^2, hbar*omega = 1) level q of column k has
@@ -379,7 +396,8 @@ def test_closing_remainder_covers_the_dropped_fugacity_terms(beta, kind, mu, wei
         if x >= _X_STOP / 2:
             break
         w = alpha * energy + gamma
-        value, count, remainder = ladder_closing(x, w, alpha, beta, kind)
+        rel_tol = TruncationPolicy().rel_tol
+        value, count, remainder = ladder_closing(x, w, alpha, beta, kind, rel_tol)
         with decimal.localcontext() as ctx:
             ctx.prec = 80
             d = decimal.Decimal
