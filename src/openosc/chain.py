@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import DomainError
 from .spectra import OccupationState, OscillatorParams, check_scale, level_index
@@ -78,6 +79,14 @@ def _check_assignment(a: ChainAssignment, ch: ChainParams) -> None:
         )
 
 
+def _fsum(terms: Iterable[float], what: str) -> float:
+    """``math.fsum(terms)``; where its finite partial sums overflow, a ``DomainError``."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise DomainError(f"{what} overflows the float range") from None
+
+
 def chain_frequencies(ch: ChainParams) -> list[float]:
     """Normal-mode frequencies ``omega * sqrt(1 + 4c sin^2(pi*s/N))``, ``s = 1..N``."""
     n = ch.count
@@ -91,14 +100,15 @@ def chain_energy(a: ChainAssignment, ch: ChainParams) -> float:
     """Canonical energy ``sum_s hbar*omega_s*(q_s + 1/2)``."""
     _check_assignment(a, ch)
     freqs = chain_frequencies(ch)
-    return math.fsum(ch.osc.hbar * w * (q + 0.5) for w, q in zip(freqs, a.levels))
+    return _fsum((ch.osc.hbar * w * (q + 0.5) for w, q in zip(freqs, a.levels)), "chain energy")
 
 
 def chain_effective_energy(a: ChainAssignment, mu: float, ch: ChainParams) -> float:
     """Per-mode effective sum ``sum_s [hbar*omega_s*(q_s + 1/2) - mu]``."""
     _check_assignment(a, ch)
     freqs = chain_frequencies(ch)
-    return math.fsum(ch.osc.hbar * w * (q + 0.5) - mu for w, q in zip(freqs, a.levels))
+    terms = (ch.osc.hbar * w * (q + 0.5) - mu for w, q in zip(freqs, a.levels))
+    return _fsum(terms, "chain effective energy")
 
 
 @dataclass(frozen=True)
@@ -125,7 +135,7 @@ def grouped_form_energy(
     groups = a.level_groups()
     value = 0.0
     for q, members in sorted(groups.items()):
-        group_sum = math.fsum(ch.osc.hbar * freqs[s - 1] * (q + 0.5) for s in members)
+        group_sum = _fsum((ch.osc.hbar * freqs[s - 1] * (q + 0.5) for s in members), "group energy")
         value += group_sum * len(members)
     value -= mu * len(a.levels)
     canonical = chain_effective_energy(a, mu, ch)
@@ -144,5 +154,5 @@ def q_min_chain(mu: float, q: int, a: ChainAssignment, ch: ChainParams) -> float
     if q not in groups:
         raise DomainError(f"no mode is assigned ladder index {q!r}")
     freqs = chain_frequencies(ch)
-    denom = math.fsum(ch.osc.hbar * freqs[s - 1] for s in groups[q])
+    denom = _fsum((ch.osc.hbar * freqs[s - 1] for s in groups[q]), "group frequency sum")
     return mu / denom - 0.5

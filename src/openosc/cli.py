@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -460,7 +461,8 @@ def run_job(job: Job) -> Report:
     The metadata echoes every parameter whose value is not ``None``, then
     adds the runner's own fields and ``job``.  A sweep echoes its inner
     job's parameters too, the swept one as ``swept``, and names the inner
-    job in ``inner_job``.
+    job in ``inner_job``; it raises ``DomainError`` before any inner run
+    when a point of its grid is not finite.
     """
     params = job.params
     if job.inner is None:
@@ -470,10 +472,15 @@ def run_job(job: Job) -> Report:
         inner = _KINDS[job.inner.kind]
         swept, steps, start = params["param"], params["steps"], params["start"]
         span = params["stop"] - start
+        grid = [start + i * span / (steps - 1) if steps > 1 else start for i in range(steps)]
+        if not all(map(math.isfinite, grid)):  # 0*inf, inf - inf or an overflowing i*span
+            raise DomainError(
+                f"sweep grid from {start!r} to {params['stop']!r} in {steps} steps "
+                "is not finite"
+            )
         columns = (swept,) + inner.columns
         extra, rows = {"inner_job": job.inner.kind}, []
-        for i in range(steps):
-            value = start + i * span / (steps - 1) if steps > 1 else start
+        for value in grid:
             _, block = inner.run({**job.inner.params, swept: value})
             rows.extend((value,) + row for row in block)
         params = {**params, **job.inner.params, swept: "swept"}

@@ -42,7 +42,8 @@ import numpy as np
 from .errors import ChemicalPotentialError, DomainError
 from .gas import GasParams
 from .stats import (
-    CLOSING_MIN_Y, StatisticsKind, Thermo, fast_occupations, ladder_closing, occupation_number
+    CLOSING_MIN_Y, StatisticsKind, Thermo, check_bose_ground, fast_occupations, ladder_closing,
+    occupation_number,
 )
 from .summation import (
     Block, SeriesResult, TruncationPolicy, block_sizes, certified_sum, geom_tails2
@@ -110,37 +111,10 @@ def reduced_series(
         raise DomainError(
             f"exp(1/2 - mu) must be finite and positive, got {c!r} for mu = {mu!r}"
         )
-    return certified_sum(_reduced_steps(mu, c, kind, policy), policy)
+    return certified_sum(_reduced_steps(mu, c, kind), policy)
 
 
-def _reduced_stop(t: Thermo, c: float, kind: StatisticsKind, policy: TruncationPolicy) -> int:
-    """Shells the reduced series is predicted to sum, from its own tail bound.
-
-    With ``x = exp(-1)``, ``T_2(m, x) <= (m + 1)^2 x^m / (1 - x)^3``
-    and ``d`` is smallest at ``r = 0``, so shell ``r``'s tail is at most
-    ``K (m + 1)^2 exp(-m)`` with ``m = r + 1``.  That meets the policy
-    against the largest term (the sum is at least that) once
-    ``m - 2 log(m + 1) >= L``, solved by fixed-point steps from ``m = L``.
-    """
-    x = math.exp(-1.0)
-    d = 1.0 - x / c if kind is StatisticsKind.BOSE else 1.0
-    r = int(t.mu) if t.mu > 1.0 else 1  # the terms peak near shell mu - 1/2
-    largest = (2 * math.isqrt(r) + 1) * r * occupation_number(r + 0.5, t, kind)
-    try:
-        threshold = max(policy.rel_tol * largest, policy.abs_tol)
-        level = math.log(3.0 / ((1.0 - x) ** 3 * c * d * threshold))
-        m = max(level, 1.0)
-        for _ in range(4):
-            m = max(level + 2.0 * math.log(m + 1.0), 1.0)
-    except (ArithmeticError, ValueError):
-        return policy.max_terms
-    # one shell of slack for the rounding of the inversion
-    return int(m) + 2 if m < policy.max_terms else policy.max_terms
-
-
-def _reduced_steps(
-    mu: float, c: float, kind: StatisticsKind, policy: TruncationPolicy
-) -> Iterator[Block]:
+def _reduced_steps(mu: float, c: float, kind: StatisticsKind) -> Iterator[Block]:
     """Blocks of integer shells ``r``, with ``c = exp(1/2 - mu)``.
 
     The occupation at energy ``r + 1/2`` equals ``1 / (C*exp(r) -+ 1)``
@@ -149,7 +123,7 @@ def _reduced_steps(
     t = Thermo(1.0, mu)
     bose = kind is StatisticsKind.BOSE
     start = 0
-    for size in block_sizes(_reduced_stop(t, c, kind, policy)):
+    for size in block_sizes():
         shells = range(start, start + size)
         start += size
         mults, t2s = _reduced_shells(shells.start, shells.stop)
@@ -203,11 +177,7 @@ def _shell_sum(
     gamma: float,
 ) -> SeriesResult:
     """Certified ``sum_{k,q} (alpha*E + gamma) * n_{k,q}``, one column ``+-k`` at a time."""
-    b = g.osc.quantum
-    if kind is StatisticsKind.BOSE and not t.mu < 0.5 * b:
-        raise ChemicalPotentialError(
-            f"Bose gas requires mu < hbar*omega/2 = {0.5 * b!r}, got {t.mu!r}"
-        )
+    check_bose_ground(t, g.osc.quantum, kind, "gas")
     if not math.isfinite(gamma):  # E - mu at an infinite mu: inf * 0 on every level
         raise DomainError(f"the weight E - mu is not finite at mu = {t.mu!r}")
     return certified_sum(_column_steps(t, g, kind, alpha, gamma, policy.rel_tol), policy)
@@ -232,9 +202,8 @@ def _column_steps(
     for k in itertools.count():
         mult = 2 if k else 1
         corner = a * k * k
-        levels = (1.0 / beta + mu - corner) / b + 1.5  # with x < 1, and the next one
         start = 0
-        for size in block_sizes(int(max(1.0, min(1e18, levels)))):
+        for size in block_sizes():
             energies = [corner + b * (q + 0.5) for q in range(start, start + size)]
             start += size
             xs = [beta * (e - mu) for e in energies]

@@ -145,12 +145,15 @@ def mode_energy(q: int, p: OscillatorParams) -> float:
     Raises
     ------
     DomainError
-        If ``q`` is negative or not an integer.
+        If ``q`` is negative or not an integer, or the energy overflows.
     """
     # Inline rather than level_index(q): this runs once per summed term.
     if q != int(q) or int(q) < 0:
         raise DomainError(f"level index must be a non-negative integer, got {q!r}")
-    return p.quantum * (q + 0.5)
+    energy = p.quantum * (q + 0.5)
+    if energy == math.inf:  # an infinite level would make E - mu a NaN at mu = inf
+        raise DomainError(f"energy of level {q!r} overflows the float range")
+    return energy
 
 
 def ensemble_energy(occ: OccupationState, p: OscillatorParams) -> float:

@@ -70,7 +70,10 @@ class StatisticsKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Thermo:
-    """Inverse temperature and chemical potential of the reservoir."""
+    """Inverse temperature and chemical potential of the reservoir.
+
+    ``beta`` must be positive and finite: zero temperature is a limit.
+    """
 
     beta: float
     mu: float = 0.0
@@ -78,6 +81,10 @@ class Thermo:
     def __post_init__(self) -> None:
         if not self.beta > 0.0:
             raise DomainError(f"beta must be positive, got {self.beta!r}")
+        if self.beta == math.inf:
+            raise DomainError(
+                "beta = inf is not finite: zero temperature is a limit, not an input"
+            )
         check_mu(self.mu)
 
 
@@ -168,18 +175,40 @@ def mean_particle_number(
     ChemicalPotentialError
         For bosons when ``mu`` is not strictly below the ground level
         energy ``hbar*omega/2``.
+    DomainError
+        For bosons when the ground exponent ``beta*(hbar*omega/2 - mu)``
+        underflows to 0.
     """
     if policy is None:
         policy = TruncationPolicy()
-    if kind is StatisticsKind.BOSE and not t.mu < 0.5 * p.quantum:
-        raise ChemicalPotentialError(
-            f"Bose ladder requires mu < hbar*omega/2 = {0.5 * p.quantum!r}, got {t.mu!r}"
-        )
+    check_bose_ground(t, p.quantum, kind, "ladder")
     kept = 0 if occupations is None else len(occupations)
     result = certified_sum(_ladder_steps(t, p, kind, policy, occupations), policy)
     if occupations is not None:
         del occupations[kept + result.terms_used :]
     return result
+
+
+def check_bose_ground(t: Thermo, quantum: float, kind: StatisticsKind, what: str) -> None:
+    """Refuse a Bose sum over levels from ``hbar*omega/2 = quantum/2`` up that has no occupation.
+
+    ``mu`` must lie strictly below that ground level, and the ground
+    exponent ``beta*(quantum/2 - mu)`` must stay ``> 0`` in floating point:
+    every higher level's is at least as large.  ``what`` names the sum.
+    """
+    if kind is not StatisticsKind.BOSE:
+        return
+    ground = 0.5 * quantum
+    if not t.mu < ground:
+        raise ChemicalPotentialError(
+            f"Bose {what} requires mu < hbar*omega/2 = {ground!r}, got {t.mu!r}"
+        )
+    x0 = t.beta * (ground - t.mu)
+    if not x0 > 0.0:
+        raise DomainError(
+            f"Bose {what} ground exponent beta*(hbar*omega/2 - mu) underflows to {x0!r}: "
+            f"beta = {t.beta!r} and hbar*omega/2 - mu = {ground - t.mu!r} are too small"
+        )
 
 
 def fast_occupations(xs: Sequence[float], kind: StatisticsKind) -> list[float] | None:
@@ -199,27 +228,6 @@ def fast_occupations(xs: Sequence[float], kind: StatisticsKind) -> list[float] |
     return [1.0 / math.expm1(x) if x <= _LARGE_X else (z := math.exp(-x)) / (1.0 - z) for x in xs]
 
 
-def ladder_floor(x0: float, y: float, kind: StatisticsKind) -> float:
-    """Lower bound on a ladder mean once it is near its stop, or 0.0.
-
-    ``x0`` is the ground level's exponent and ``y = beta*hbar*omega``.
-    The occupation falls along the ladder, so the mean is at least its
-    first term and at least ``(1/y) * integral_{x0}^inf n(x) dx``; half of
-    the integral leaves room for the part beyond the stop.
-    """
-    try:
-        if kind is StatisticsKind.FERMI:
-            first = 1.0 / (math.exp(x0) + 1.0)
-            integral = math.log1p(math.exp(-x0)) if x0 >= 0.0 else math.log1p(math.exp(x0)) - x0
-        else:
-            first = 1.0 / math.expm1(x0)
-            integral = -math.log(-math.expm1(-x0))
-        floor = max(first, 0.5 * integral / y)
-    except (ArithmeticError, ValueError):
-        return 0.0
-    return floor if floor < math.inf else 0.0
-
-
 def closing_start(y: float) -> float:
     """Exponent ``x_c`` where a ladder mean closes, or ``inf`` for no closing.
 
@@ -227,32 +235,6 @@ def closing_start(y: float) -> float:
     ``x_c = sqrt(46*y)``; no closing below ``CLOSING_MIN_Y`` or where ``46*y`` overflows.
     """
     return math.sqrt(_FUGACITY_DEPTH * y) if y > CLOSING_MIN_Y else math.inf
-
-
-def _ladder_stop(
-    t: Thermo, p: OscillatorParams, kind: StatisticsKind, policy: TruncationPolicy, x_c: float
-) -> int:
-    """Levels a ladder mean is predicted to sum, from its own tail bound.
-
-    Step ``q``'s tail is ``h(x_{q+1}) / (1 - exp(-y))`` with
-    ``h(x) = exp(-x)`` (Fermi) or ``exp(-x) / (1 - exp(-x))`` (Bose),
-    which falls with ``x``; against ``ladder_floor`` it meets the policy
-    once ``x_{q+1}`` passes ``-log(c)`` or ``log1p(1/c)`` respectively,
-    with ``c`` the policy's threshold times ``1 - exp(-y)``.  A sum that
-    closes at ``x_c`` stops at the first level past it at the latest.
-    """
-    beta, mu, quantum = t.beta, t.mu, p.quantum
-    try:
-        floor = ladder_floor(beta * (quantum * 0.5 - mu), beta * quantum, kind)
-        c = -math.expm1(-beta * quantum) * max(policy.rel_tol * floor, policy.abs_tol)
-        x_stop = -math.log(c) if kind is StatisticsKind.FERMI else math.log1p(1.0 / c)
-        levels = (min(x_stop, x_c) / beta + mu) / quantum - 0.5
-    except (ArithmeticError, ValueError):
-        return policy.max_terms
-    if not levels < policy.max_terms:  # also NaN
-        return policy.max_terms
-    # one level of slack for the rounding of the inversion
-    return int(max(levels, 0.0)) + 2
 
 
 def _ladder_steps(
@@ -277,7 +259,7 @@ def _ladder_steps(
     one_minus_ratio = -math.expm1(-y)  # no cancellation at tiny y
     x_c = math.inf if occupations is not None else closing_start(y)
     start = 0
-    for size in block_sizes(_ladder_stop(t, p, kind, policy, x_c)):
+    for size in block_sizes():
         levels = range(start, start + size + 1)
         start += size
         xs = [beta * (quantum * (q + 0.5) - mu) for q in levels]

@@ -8,8 +8,9 @@ means the bound met the policy, never that terms "looked small".
 supplies it an endless source of blocks of steps; a step is a
 ``(term, count, tail)`` triple: ``term`` is the step's contribution,
 ``count`` the number of series terms it covers, and ``tail`` must bound
-everything after that step.  ``block_sizes`` is the one rule that sizes
-the blocks.
+everything after that step.  ``block_sizes`` is the one schedule that
+sizes the blocks of every series: a short sum takes one block of
+``_FIRST_BLOCK`` steps, a long one blocks that double up to ``_MAX_BLOCK``.
 """
 
 from __future__ import annotations
@@ -80,11 +81,12 @@ Block = tuple[Sequence[float], Sequence[int], Sequence[float]]
 # over the first 60 lib_kernels tasks 1024 raised the peak RSS by ~0.4 MB and
 # 256 by nothing measurable, within a few per cent of the same speed.
 _MAX_BLOCK = 256
-# First block once a sum has run past its predicted stop; each later one doubles.
-_OVERRUN_BLOCK = 16
+# Steps in a sum's first block; each later one doubles.  The reduced series at
+# the default rel_tol stops within 31 shells for mu < 2, so it is one block.
+_FIRST_BLOCK = 32
 # Fewest steps for which a block is first tested as a whole.  The block that
-# holds the stop always fails that test, and a short sum is one such block, so
-# only the full blocks of long sums take it.
+# holds the stop always fails that test, so only the full-size blocks of long
+# sums take it; the schedule's smaller first blocks go straight to the exact rule.
 _SKIP_TEST = 256
 
 
@@ -131,26 +133,17 @@ def certified_sum(blocks: Iterable[Block], policy: TruncationPolicy) -> SeriesRe
     raise ValueError("step source ended before the policy or the term cap stopped the sum")
 
 
-def block_sizes(predicted: int, width: int = 1) -> Iterator[int]:
-    """Sizes of a sum's successive blocks when it is predicted to take ``predicted`` steps.
+def block_sizes() -> Iterator[int]:
+    """Sizes of a sum's successive blocks: ``_FIRST_BLOCK`` steps, doubling up to ``_MAX_BLOCK``.
 
-    A step source predicts its stopping step from its own tail bound and
-    a lower bound on the value there, so the sum stops at or before it.
-    The blocks cover the prediction in pieces of at most
-    ``_MAX_BLOCK // width`` steps, with ``width`` the most terms the
-    source evaluates for one step, so that a block's lists stay small; a
-    sum that runs past its prediction goes on in blocks of
-    ``_OVERRUN_BLOCK`` steps, doubling up to that size.
+    A sum evaluates at most its last block past the stopping step: fewer
+    than ``_MAX_BLOCK`` steps, and fewer than twice the steps it uses
+    plus ``_FIRST_BLOCK``.
     """
-    most = max(_MAX_BLOCK // width, 1)
-    predicted = max(predicted, 1)
-    while predicted > 0:
-        yield min(predicted, most)
-        predicted -= most
-    size = min(_OVERRUN_BLOCK, most)
+    size = _FIRST_BLOCK
     while True:
         yield size
-        size = min(2 * size, most)
+        size = min(2 * size, _MAX_BLOCK)
 
 
 # --- closed-form tail of a quadratic-times-geometric series ----------------

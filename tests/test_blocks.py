@@ -16,12 +16,14 @@ both certified tail bounds and the rounding of both sums.
 import itertools
 import math
 import warnings
+from bisect import bisect_left
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from openosc import (
+    DomainError,
     GasParams,
     OscillatorParams,
     SeriesResult,
@@ -34,10 +36,10 @@ from openosc import (
     occupation_number,
     reduced_series,
 )
-from openosc import stats
+from openosc import series, stats, summation
 from openosc.series import _column_steps, _safe_exp
 from openosc.stats import _ladder_steps, closing_start
-from openosc.summation import _MAX_BLOCK
+from openosc.summation import _FIRST_BLOCK, _MAX_BLOCK, block_sizes
 
 BOSE = StatisticsKind.BOSE
 FERMI = StatisticsKind.FERMI
@@ -275,6 +277,15 @@ def outcome(call):
         return type(exc).__name__
 
 
+def thermo_or_refused(beta, mu):
+    """``Thermo(beta, mu)``, or ``None`` once it has refused ``beta = inf`` as not finite."""
+    if beta < math.inf:
+        return Thermo(beta, mu)
+    with pytest.raises(DomainError, match="not finite"):
+        Thermo(beta, mu)
+    return None
+
+
 @pytest.mark.parametrize(
     "beta, mu",
     [(1.0, -math.inf), (1.0, math.inf), (math.inf, -5.0), (math.inf, 3.0), (1e300, 3.0),
@@ -283,7 +294,9 @@ def outcome(call):
 @pytest.mark.parametrize("kind", [BOSE, FERMI])
 def test_ladder_blocks_at_extreme_inputs(kind, beta, mu):
     # Infinite or overflowing exponents: the same values, NaNs or errors.
-    t = Thermo(beta, mu)
+    t = thermo_or_refused(beta, mu)
+    if t is None:
+        return
     policies = [
         TruncationPolicy(max_terms=3000),
         TruncationPolicy(abs_tol=1e300, max_terms=3000),
@@ -310,7 +323,9 @@ def test_closed_ladder_at_extreme_inputs(kind, beta, mu):
     # its certificate.  At beta = 1e-300, mu = -1e300 the ground level has x = 1
     # but y = 1e-300 is too small to close; at beta = 1e-100, mu = -1e90 it has
     # x = 1e-10, past x_c ~ 7e-50, but the closing's ~7e11 terms exceed the cap.
-    t = Thermo(beta, mu)
+    t = thermo_or_refused(beta, mu)
+    if t is None:
+        return
     policies = [
         TruncationPolicy(max_terms=3000),
         TruncationPolicy(abs_tol=1e300, max_terms=3000),
@@ -439,3 +454,87 @@ def test_column_blocks_stay_within_the_block_size(beta):
         blocks = _column_steps(Thermo(beta, 0.0), RG, kind, 1.0, 0.0, TruncationPolicy().rel_tol)
         for terms, counts, tails in itertools.islice(blocks, 40):
             assert len(terms) == len(counts) == len(tails) <= _MAX_BLOCK
+
+
+# --- the block schedule -------------------------------------------------------
+
+
+def test_block_sizes_is_one_fixed_schedule():
+    assert list(itertools.islice(block_sizes(), 6)) == [32, 64, 128, 256, 256, 256]
+    assert _FIRST_BLOCK == 32 and _MAX_BLOCK == 256
+
+
+def evaluated_and_used(monkeypatch, module, call):
+    """Levels or shells ``fast_occupations`` evaluated in ``call()``, and the steps its sum used."""
+    evaluated = []
+    used = []
+
+    def counted(xs, kind, _fast=stats.fast_occupations):
+        evaluated.append(len(xs))
+        return _fast(xs, kind)
+
+    def recorded(blocks, policy, _sum=summation.certified_sum):
+        counts = []
+
+        def seen():
+            for block in blocks:
+                counts.extend(block[1])
+                yield block
+
+        result = _sum(seen(), policy)
+        # the stopping step is the first whose summed counts reach terms_used
+        used.append(bisect_left(list(itertools.accumulate(counts)), result.terms_used) + 1)
+        return result
+
+    monkeypatch.setattr(module, "fast_occupations", counted)
+    monkeypatch.setattr(module, "certified_sum", recorded)
+    call()
+    (steps,) = used
+    return sum(evaluated), steps
+
+
+def check_waste(evaluated, used):
+    wasted = evaluated - used
+    assert wasted < _MAX_BLOCK, (evaluated, used)
+    assert wasted < 2 * used + _FIRST_BLOCK, (evaluated, used)
+
+
+@pytest.mark.parametrize("occupations", [[], None], ids=["occupations", "closed"])
+@pytest.mark.parametrize("beta", [3.0, 1.0, 0.3, 0.1, 0.03, 0.01, 1e-3])
+def test_ladder_evaluates_at_most_one_block_past_its_stop(monkeypatch, beta, occupations):
+    # Bose mu = 0 keeps every exponent above _TINY_X, so each level goes through
+    # fast_occupations; the stops lie from level 8 (first block) to level 25,449.
+    policy = TruncationPolicy(rel_tol=1e-12)
+    evaluated, used = evaluated_and_used(
+        monkeypatch, stats,
+        lambda: mean_particle_number(Thermo(beta, 0.0), REDUCED, BOSE, policy, occupations),
+    )
+    assert evaluated >= used - (occupations is None)  # a closing step evaluates no level
+    check_waste(evaluated, used)
+
+
+@pytest.mark.parametrize("kind, mu", [
+    (BOSE, -5.0), (BOSE, 0.0), (BOSE, 0.49), (FERMI, -5.0), (FERMI, 1.6), (FERMI, 30.0),
+    (FERMI, 300.0),
+])
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-16])
+def test_reduced_series_evaluates_at_most_one_block_past_its_stop(monkeypatch, kind, mu, rel_tol):
+    policy = TruncationPolicy(rel_tol=rel_tol)
+    evaluated, used = evaluated_and_used(
+        monkeypatch, series, lambda: reduced_series(mu, kind, policy)
+    )
+    assert evaluated >= used
+    check_waste(evaluated, used)
+    if rel_tol == 1e-10 and mu < 2.0:  # one block: at most 31 shells
+        assert evaluated == _FIRST_BLOCK
+
+
+@pytest.mark.parametrize("kind", [BOSE, FERMI])
+def test_gas_column_evaluates_no_level_past_its_stop(monkeypatch, kind):
+    # beta = 1e-3: column 0 alone has ~1000 head levels, in blocks of 32 to 256.
+    evaluated, used = evaluated_and_used(
+        monkeypatch, series,
+        lambda: equilibrium_particle_number(Thermo(1e-3, 0.0), RG, kind, TruncationPolicy()),
+    )
+    assert evaluated > 1000
+    check_waste(evaluated, used)

@@ -206,3 +206,19 @@ def test_q_min_chain_decreases_with_group_size():
         ch = ChainParams(count=n, osc=OSC, coupling=0.0)
         a = ChainAssignment((0,) * n)
         assert q_min_chain(mu, 0, a, ch) == pytest.approx(mu / n - 0.5)
+
+
+def test_chain_sums_refuse_an_overflowing_total():
+    # Each term is finite, but four terms of -1e308 (or 1e308) add up past the
+    # float range, where math.fsum raises OverflowError.
+    ch = ChainParams(4, OscillatorParams(), 0.0)
+    a = ChainAssignment((0, 0, 0, 0))
+    with pytest.raises(DomainError, match="overflows"):
+        chain_effective_energy(a, 1e308, ch)
+    with pytest.raises(DomainError, match="overflows"):
+        grouped_form_energy(a, 1e308, ch)
+    huge = ChainParams(4, OscillatorParams(hbar=1e154, omega=1e154), 0.0)
+    with pytest.raises(DomainError, match="overflows"):
+        chain_energy(ChainAssignment((1, 1, 1, 1)), huge)
+    with pytest.raises(DomainError, match="overflows"):
+        q_min_chain(0.0, 1, ChainAssignment((1, 1, 1, 1)), huge)

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -429,6 +430,34 @@ def test_nan_mu_exits_3(args, tmp_path, capsys):
     error = json.loads(lines[0])["error"]
     assert error["type"] == "DomainError"
     assert "mu" in error["message"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["stats", "--stat", "bose", "--beta", "1e-300", "--omega", "1e-30"], "underflows to 0.0"),
+    (["stats", "--stat", "fermi", "--beta", "inf", "--mu", "0.5"], "not finite"),
+    (["sweep", "--start", "0", "--stop", "inf", "--steps", "2", "chain", "--count", "1"],
+     "is not finite"),
+    (["sweep", "--start", "1e-17", "--stop", "1e308", "--steps", "3", "spectrum"],
+     "is not finite"),
+    (["chain", "--count", "4", "--mu", "1e308", "--levels", "0,0,0,0"], "overflows"),
+    (["spectrum", "--hbar", "1e308", "--mu", "inf"], "overflows"),
+], ids=["stats-bose-underflow", "stats-beta-inf", "sweep-infinite-span", "sweep-overflow",
+        "chain-overflow", "spectrum-overflow"])
+def test_unrepresentable_inputs_exit_3_at_once(args, message, tmp_path, capsys):
+    # The underflowing Bose ground exponent once blamed mu; beta = inf once ran
+    # the ladder to its 10^7-term cap (~11 s) and exited 4; the sweeps wrote a
+    # nan grid point (0 + 0*inf) or an inf one (2*1e308/2); the chain died of
+    # fsum's OverflowError (exit 1); the spectrum wrote omega_eff = inf - inf.
+    start = time.perf_counter()
+    code, target = run_to_file(args, tmp_path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert not target.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "DomainError"
+    assert message in error["message"]
 
 
 @pytest.mark.parametrize("args, message", [

@@ -1,6 +1,9 @@
-"""The package namespace re-exports exactly what its modules declare public."""
+"""The package namespace re-exports exactly what its modules declare public,
+and its source holds no unused import and no dead module-level helper."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import openosc
 
@@ -45,3 +48,60 @@ def test_package_all_is_the_union_of_module_lists():
 def test_earlier_exports_are_kept():
     assert len(FROZEN_EXPORTS) == 58
     assert set(FROZEN_EXPORTS) <= set(openosc.__all__)
+
+
+# --- a stdlib lint of the package source ----------------------------------------
+
+SOURCES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(Path(openosc.__file__).parent.glob("*.py"))}
+
+
+def referenced(tree):
+    """Every name a module reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def declared_all(tree):
+    """The literal ``__all__`` of a module, or nothing if it is computed."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            try:
+                return set(ast.literal_eval(node.value))
+            except ValueError:
+                return set()
+    return set()
+
+
+def test_no_module_has_an_unused_import():
+    unused = []
+    for module, tree in SOURCES.items():
+        used = referenced(tree) | declared_all(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if alias.name != "*" and bound not in used:
+                        unused.append(f"{module}: {bound}")
+    assert not unused
+
+
+def test_every_module_level_definition_is_public_or_used():
+    used = set().union(*map(referenced, SOURCES.values()))
+    dead = [
+        f"{module}.{node.name}"
+        for module, tree in SOURCES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in declared_all(tree) | used
+    ]
+    assert not dead

@@ -16,6 +16,7 @@ from openosc import (
     ChemicalPotentialError,
     DomainError,
     GasParams,
+    OscillatorParams,
     StatisticsKind,
     Thermo,
     TruncationPolicy,
@@ -217,6 +218,15 @@ def test_equilibrium_bose_branch():
     assert result.value == pytest.approx(brute_equilibrium(0.3, BOSE, "energy"), rel=1e-9)
     with pytest.raises(ChemicalPotentialError):
         equilibrium_effective_energy(Thermo(1.0, 0.5), RG, BOSE)
+
+
+def test_equilibrium_bose_refuses_an_underflowing_ground_exponent():
+    # The same ground exponent check as the ladder mean: beta*hbar*omega/2 underflows.
+    g = GasParams(OscillatorParams(omega=1e-30))
+    for total in (equilibrium_particle_number, equilibrium_effective_energy):
+        with pytest.raises(DomainError, match="underflows to 0.0") as err:
+            total(Thermo(1e-300, 0.0), g, BOSE)
+        assert not isinstance(err.value, ChemicalPotentialError)
 
 
 def test_equilibrium_shifted_weight_identity():

@@ -46,6 +46,14 @@ def test_mode_energy_negative_index_rejected():
         mode_energy(-1, REDUCED)
 
 
+def test_mode_energy_refuses_an_overflowing_level():
+    # hbar*omega = 1e308 is finite, but level 2 lies at 2.5e308.
+    p = OscillatorParams(hbar=1e308)
+    assert mode_energy(1, p) == 1.5e308
+    with pytest.raises(DomainError, match="overflows"):
+        mode_energy(2, p)
+
+
 def test_params_validation():
     with pytest.raises(DomainError):
         OscillatorParams(omega=0.0)

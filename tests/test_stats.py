@@ -190,6 +190,21 @@ def test_ladder_mean_bose_domain():
     mean_particle_number(Thermo(1.0, 0.499), REDUCED, BOSE)
 
 
+def test_ladder_mean_bose_refuses_an_underflowing_ground_exponent():
+    # mu = 0 is below hbar*omega/2 = 5e-31, but beta times that underflows to 0:
+    # the error names the underflow, not mu.
+    with pytest.raises(DomainError, match="underflows to 0.0") as err:
+        mean_particle_number(Thermo(1e-300, 0.0), OscillatorParams(omega=1e-30), BOSE)
+    assert not isinstance(err.value, ChemicalPotentialError)
+
+
+def test_thermo_refuses_infinite_beta():
+    # At beta = inf the level at mu has x = inf*0 = NaN, which no policy accepts.
+    with pytest.raises(DomainError, match="not finite"):
+        Thermo(math.inf, 0.5)
+    assert Thermo(1e308, 0.5).beta == 1e308
+
+
 def test_ladder_mean_reports_non_convergence():
     policy = TruncationPolicy(rel_tol=1e-10, abs_tol=1e-30, max_terms=3)
     result = mean_particle_number(Thermo(0.05, 0.0), REDUCED, FERMI, policy)
