@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .spectra import (
-    OccupationState, OscillatorParams, check_mu, check_scale, level_index, mode_energy
+    OccupationState, OscillatorParams, check_mu, check_scale, finite_energy, level_index,
+    mode_energy,
 )
 
 __all__ = [
@@ -71,14 +72,19 @@ def _translational_index(k: int) -> int:
 
 
 def translational_energy(k: int, g: GasParams) -> float:
-    """Free-motion energy ``prefactor * k^2`` for signed integer ``k``."""
+    """Free-motion energy ``prefactor * k^2`` of integer ``k``; ``DomainError`` on overflow."""
     k = _translational_index(k)
-    return g.translational_prefactor * (k * k)
+    try:
+        energy = g.translational_prefactor * (k * k)
+    except OverflowError:  # k*k past the float range
+        energy = math.inf
+    return finite_energy(energy, "k", k)
 
 
 def joint_energy(k: int, q: int, g: GasParams) -> float:
-    """Single-particle energy ``eps_k + hbar*omega*(q + 1/2)``."""
-    return translational_energy(k, g) + mode_energy(q, g.osc)
+    """Single-particle energy ``eps_k + hbar*omega*(q + 1/2)``; ``DomainError`` on overflow."""
+    energy = translational_energy(k, g) + mode_energy(q, g.osc)
+    return finite_energy(energy, "(k, q)", (k, q))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ holds ``2*floor(sqrt(r)) + 1`` identical terms, so
     S(mu) = sum_{r >= 0} (2*floor(sqrt(r)) + 1) * r / (C * exp(r) -+ 1).
 
 The gas sums in physical units go column by column: column ``+-k`` is a
-ladder in ``q``, added level by level while ``x = beta*(E - mu) < 1``
+ladder in ``q``, added level by level while ``x = beta*(E - mu)`` is below
+``stats.closing_start(beta*hbar*omega)``, where the ladder mean closes too,
 and closed by the fugacity expansion ``n(x) = sum_j (+-1)^(j+1) exp(-j*x)``,
 whose sums over ``q`` are geometric (``stats.ladder_closing``).
 
@@ -22,8 +23,8 @@ series through ``sum_{r >= m} r^2 x^r``, a gas sum through each closing's
 remainder (under ``2**-64`` of it, or ``rel_tol`` if smaller) plus a bound on all later columns
 (``_columns_after``).  Neither covers the rounding of the driver's plain
 adds, at most ``(terms_used + 16) * 2**-53 * |value|`` for positive
-terms: ~90 times less for a gas sum of ~2k terms (``beta = 0.011``) than
-for the ~175k of the diagonal shells it replaced.  ``reduced_series_bound``
+terms: ~100 times less for a gas sum of ~1.7k terms (``beta = 0.011``)
+than for the ~175k of the diagonal shells it replaced.  ``reduced_series_bound``
 gives the a-priori analytic ceiling the numerics are checked against.
 """
 
@@ -42,7 +43,7 @@ import numpy as np
 from .errors import ChemicalPotentialError, DomainError
 from .gas import GasParams
 from .stats import (
-    CLOSING_MIN_Y, StatisticsKind, Thermo, check_bose_ground, fast_occupations, ladder_closing,
+    StatisticsKind, Thermo, check_bose_ground, closing_start, fast_occupations, ladder_closing,
     occupation_number,
 )
 from .summation import (
@@ -188,16 +189,16 @@ def _column_steps(
 ) -> Iterator[Block]:
     """Blocks of columns ``k = 0, 1, ...``: the head levels, then one closing step.
 
-    The head is the levels with ``x < 1``, one step each with an infinite
-    tail, in ``block_sizes`` pieces.  The closing step adds the rest of the
-    column by ``ladder_closing``; its tail is the remainders of the closings
-    so far plus ``_columns_after``, the bound on every later column.
+    The head is the levels with ``x < closing_start(y)``, one step each with
+    an infinite tail, in ``block_sizes`` pieces.  The closing step adds the
+    rest of the column by ``ladder_closing``; its tail is the remainders of
+    the closings so far plus ``_columns_after``, the bound on later columns.
     """
     b = g.osc.quantum
     a = g.translational_prefactor
     beta, mu = t.beta, t.mu
     y = beta * b
-    x_close = 1.0 if y > CLOSING_MIN_Y else math.inf  # else level by level
+    x_close = closing_start(y)
     remainders = 0.0
     for k in itertools.count():
         mult = 2 if k else 1
@@ -281,10 +282,10 @@ def equilibrium_effective_energy(
     With ``mu_shifted=True`` each term carries ``(E - mu)`` instead of
     ``E``, i.e. the grand-canonical effective weight.  Columns ``+-k``
     are summed in turn, ``k = 0, 1, ...``: the levels with
-    ``beta*(E - mu) < 1`` one by one, the rest of the column by
-    ``ladder_closing``.  The tail bound is the closings' remainders plus
-    ``_columns_after``'s bound on every column not yet summed.  An
-    infinite ``mu`` with ``mu_shifted`` raises ``DomainError``.
+    ``beta*(E - mu) < closing_start(beta*hbar*omega)`` one by one, the rest
+    of the column by ``ladder_closing``.  The tail bound is the closings'
+    remainders plus ``_columns_after``'s bound on every column not yet
+    summed.  An infinite ``mu`` with ``mu_shifted`` raises ``DomainError``.
     """
     gamma = -t.mu if mu_shifted else 0.0
     return _shell_sum(t, g, kind, policy or TruncationPolicy(), 1.0, gamma)

@@ -150,9 +150,17 @@ def mode_energy(q: int, p: OscillatorParams) -> float:
     # Inline rather than level_index(q): this runs once per summed term.
     if q != int(q) or int(q) < 0:
         raise DomainError(f"level index must be a non-negative integer, got {q!r}")
-    energy = p.quantum * (q + 0.5)
+    try:
+        energy = p.quantum * (q + 0.5)
+    except OverflowError:  # q past the float range
+        energy = math.inf
+    return finite_energy(energy, "q", q)
+
+
+def finite_energy(energy: float, name: str, index: Any) -> float:
+    """``energy``, or ``DomainError`` naming the level ``name = index`` where it is ``inf``."""
     if energy == math.inf:  # an infinite level would make E - mu a NaN at mu = inf
-        raise DomainError(f"energy of level {q!r} overflows the float range")
+        raise DomainError(f"energy of level {name} = {index!r} overflows the float range")
     return energy
 
 

@@ -9,8 +9,8 @@ branch is only defined for ``beta * (eps - mu) > 0``; this module refuses
 invalid arguments instead of returning a negative "occupation".
 
 ``ladder_closing`` adds a ladder's occupations from a level with ``x > 0``
-on in closed form; the ladder mean and the gas sums in ``series`` close
-their ladders with it.
+on in closed form.  The ladder mean and every gas column in ``series``
+close with it from their first level with ``x >= closing_start(y)``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import ChemicalPotentialError, DomainError
-from .gas import GasParams, joint_energy, q_min_gas, translational_energy
+from .gas import GasParams, joint_energy, q_min_gas
 from .spectra import OscillatorParams, check_mu
 from .summation import (
     _MAX_BLOCK, Block, SeriesResult, TruncationPolicy, block_sizes, certified_sum
@@ -33,11 +33,9 @@ from .summation import (
 __all__ = [
     "StatisticsKind",
     "Thermo",
-    "IdealBoseGasResult",
     "ThresholdReport",
     "occupation_number",
     "mean_particle_number",
-    "ideal_bose_gas",
     "bose_threshold_equivalence",
 ]
 
@@ -51,7 +49,7 @@ _TINY_X = 1e-12
 _FUGACITY_DEPTH = 46.0
 # Below this y = beta*hbar*omega no ladder is closed: the kernel's
 # 1/(1 - exp(-y))^2 overflows near y ~ 1e-154.
-CLOSING_MIN_Y = 1e-150
+_CLOSING_MIN_Y = 1e-150
 
 
 class StatisticsKind(enum.Enum):
@@ -229,12 +227,12 @@ def fast_occupations(xs: Sequence[float], kind: StatisticsKind) -> list[float] |
 
 
 def closing_start(y: float) -> float:
-    """Exponent ``x_c`` where a ladder mean closes, or ``inf`` for no closing.
+    """Exponent ``x_c`` where a ladder (the mean or a gas column) closes, or ``inf`` for none.
 
     ``x_c/y`` levels plus ~``46/x_c`` closing terms are least at
-    ``x_c = sqrt(46*y)``; no closing below ``CLOSING_MIN_Y`` or where ``46*y`` overflows.
+    ``x_c = sqrt(46*y)``; no closing below ``_CLOSING_MIN_Y`` or where ``46*y`` overflows.
     """
-    return math.sqrt(_FUGACITY_DEPTH * y) if y > CLOSING_MIN_Y else math.inf
+    return math.sqrt(_FUGACITY_DEPTH * y) if y > _CLOSING_MIN_Y else math.inf
 
 
 def _ladder_steps(
@@ -374,74 +372,6 @@ def _fugacity_terms(
     if fermi:
         terms[1::2] = [-term for term in terms[1::2]]
     return terms
-
-
-@dataclass(frozen=True)
-class IdealBoseGasResult:
-    """Log-partition function and per-mode means of the free Bose branch."""
-
-    log_z: float
-    occupations: dict[int, float]
-    tail_bound: float  # bound on the log-partition weight beyond the k range
-    converged: bool
-
-
-def ideal_bose_gas(
-    t: Thermo,
-    g: GasParams,
-    k_max: int,
-    policy: TruncationPolicy | None = None,
-) -> IdealBoseGasResult:
-    """Ideal Bose gas on the translational branch over ``k in [-k_max, k_max]``.
-
-    ``log Z = sum_k -log(1 - exp(-beta*(eps_k - mu)))`` over the given
-    range, with mean occupations per ``k`` and a bound on the neglected
-    ``|k| > k_max`` contribution.
-
-    Raises
-    ------
-    ChemicalPotentialError
-        If any ``k`` in the range (or the first one beyond it, which
-        anchors the tail bound) has ``eps_k <= mu``.  The offending
-        indices are named in the message.
-    """
-    if policy is None:
-        policy = TruncationPolicy()
-    if k_max < 0:
-        raise DomainError(f"k_max must be non-negative, got {k_max!r}")
-    k_max = int(k_max)
-    offenders = [
-        k
-        for k in range(-k_max, k_max + 1)
-        if not translational_energy(k, g) - t.mu > 0.0
-    ]
-    if offenders:
-        raise ChemicalPotentialError(
-            f"eps_k <= mu at k = {sorted(offenders, key=abs)}: "
-            "the Bose branch requires eps_k - mu > 0 for every k"
-        )
-    a = g.translational_prefactor
-    x_edge = t.beta * (a * (k_max + 1) ** 2 - t.mu)
-    if not x_edge > 0.0:
-        raise ChemicalPotentialError(
-            f"eps_k <= mu at k = {k_max + 1}; enlarge k_max past the "
-            "classical threshold so the tail bound applies"
-        )
-    log_z = 0.0
-    occupations: dict[int, float] = {}
-    for k in range(-k_max, k_max + 1):
-        x = t.beta * (translational_energy(k, g) - t.mu)
-        log_z += -math.log1p(-math.exp(-x))
-        occupations[k] = occupation_number(
-            translational_energy(k, g), t, StatisticsKind.BOSE
-        )
-    edge = math.exp(-x_edge)
-    ratio = math.exp(-t.beta * a * (2 * k_max + 3))
-    # Each dropped -log1p term is at most exp(-x_k)/(1 - edge), and the
-    # exp(-x_k) decay beyond the range is at least geometric with `ratio`
-    # because eps_k grows quadratically in |k|.
-    tail = 2.0 * (edge / (1.0 - edge)) / (1.0 - ratio)
-    return IdealBoseGasResult(log_z, occupations, tail, policy.satisfied(log_z, tail))
 
 
 @dataclass(frozen=True)

@@ -437,19 +437,26 @@ def test_shell_blocks_in_other_units(g, kind, mu):
 
 
 def test_shell_blocks_overshoot_the_cap_like_the_steps():
-    # Column 0 has 100 head levels here, so a cap of 101 falls on its closing
-    # step, which covers ~46 terms; the sum converges after ~2,000 terms.
-    t = Thermo(0.01, 0.0)
-    for max_terms in (1, 2, 3, 100, 101, 1000):
+    # Column 0 has 68 head levels here, those with x = 0.01*(q + 1/2) below
+    # closing_start(0.01) ~ 0.678, so a cap of 68 stops on its last head level
+    # and one of 69 falls on its closing step, which covers ~70 terms; the sum
+    # converges after ~1,800 terms.
+    beta = 0.01
+    head = math.ceil(closing_start(beta) / beta - 0.5)
+    assert head == 68
+    t = Thermo(beta, 0.0)
+    for max_terms in (1, 2, 3, head, head + 1, 1000):
         result = check_shells(t, RG, BOSE, "count", TruncationPolicy(max_terms=max_terms))
         assert not result.converged
         assert result.terms_used >= max_terms
         assert result.tail_bound > 0.0
+        if max_terms == head + 1:
+            assert result.terms_used > max_terms
 
 
 @pytest.mark.parametrize("beta", [1e-6, 0.01, 1.0])
 def test_column_blocks_stay_within_the_block_size(beta):
-    # At beta = 1e-6 column 0 alone holds a million levels with x < 1.
+    # At beta = 1e-6 column 0 alone holds ~6.8k levels below closing_start(1e-6).
     for kind in (BOSE, FERMI):
         blocks = _column_steps(Thermo(beta, 0.0), RG, kind, 1.0, 0.0, TruncationPolicy().rel_tol)
         for terms, counts, tails in itertools.islice(blocks, 40):
@@ -531,10 +538,56 @@ def test_reduced_series_evaluates_at_most_one_block_past_its_stop(monkeypatch, k
 
 @pytest.mark.parametrize("kind", [BOSE, FERMI])
 def test_gas_column_evaluates_no_level_past_its_stop(monkeypatch, kind):
-    # beta = 1e-3: column 0 alone has ~1000 head levels, in blocks of 32 to 256.
+    # beta = 1e-3: column 0 alone has ~214 head levels, in blocks of 32 to 128.
     evaluated, used = evaluated_and_used(
         monkeypatch, series,
         lambda: equilibrium_particle_number(Thermo(1e-3, 0.0), RG, kind, TruncationPolicy()),
     )
     assert evaluated > 1000
     check_waste(evaluated, used)
+
+
+# --- the closing rule ---------------------------------------------------------
+
+
+def closings_seen(monkeypatch, call):
+    """``(x, y)`` of every ``ladder_closing`` call made in ``call()``, in call order."""
+    seen = []
+
+    def recorded(x, w, slope, y, kind, rel_tol, _close=stats.ladder_closing):
+        seen.append((x, y))
+        return _close(x, w, slope, y, kind, rel_tol)
+
+    monkeypatch.setattr(stats, "ladder_closing", recorded)
+    monkeypatch.setattr(series, "ladder_closing", recorded)
+    call()
+    return seen
+
+
+@pytest.mark.parametrize("kind", [BOSE, FERMI])
+@pytest.mark.parametrize("beta", [1e-3, 0.01, 0.03, 0.3, 1.0])
+def test_every_ladder_closes_at_its_first_level_past_closing_start(monkeypatch, beta, kind):
+    # The ladder mean and each gas column k (the k-th closing of a gas sum) close
+    # at their first level q with x = beta*(a*k^2 + hbar*omega*(q + 1/2) - mu)
+    # >= closing_start(beta*hbar*omega), where a = 0 for the mean.
+    t = Thermo(beta, 0.0)
+    b = RG.osc.quantum
+    x_c = closing_start(beta * b)
+    sums = {"mean": (0.0, lambda: mean_particle_number(t, RG.osc, kind))}
+    for weight in WEIGHTS:
+        sums[weight] = (RG.translational_prefactor,
+                        lambda weight=weight: shells(t, RG, kind, weight, TruncationPolicy()))
+    for name, (a, call) in sums.items():
+        seen = closings_seen(monkeypatch, call)
+        if name == "mean":
+            assert len(seen) <= 1
+        else:
+            assert seen, name
+        for k, (x, y) in enumerate(seen):
+            assert y == beta * b
+
+            def level(q):
+                return beta * (a * k * k + b * (q + 0.5) - t.mu)
+
+            first = next(q for q in itertools.count() if level(q) >= x_c)
+            assert x == level(first), (name, k, x, first)

@@ -441,13 +441,15 @@ def test_nan_mu_exits_3(args, tmp_path, capsys):
      "is not finite"),
     (["chain", "--count", "4", "--mu", "1e308", "--levels", "0,0,0,0"], "overflows"),
     (["spectrum", "--hbar", "1e308", "--mu", "inf"], "overflows"),
+    (["gas", "--kmax", str(10**300), "--qmax", "0"], f"level k = {-(10**300)} overflows"),
 ], ids=["stats-bose-underflow", "stats-beta-inf", "sweep-infinite-span", "sweep-overflow",
-        "chain-overflow", "spectrum-overflow"])
+        "chain-overflow", "spectrum-overflow", "gas-kmax-overflow"])
 def test_unrepresentable_inputs_exit_3_at_once(args, message, tmp_path, capsys):
     # The underflowing Bose ground exponent once blamed mu; beta = inf once ran
     # the ladder to its 10^7-term cap (~11 s) and exited 4; the sweeps wrote a
     # nan grid point (0 + 0*inf) or an inf one (2*1e308/2); the chain died of
-    # fsum's OverflowError (exit 1); the spectrum wrote omega_eff = inf - inf.
+    # fsum's OverflowError (exit 1); the spectrum wrote omega_eff = inf - inf;
+    # the gas died of an OverflowError converting k*k of its first k (exit 1).
     start = time.perf_counter()
     code, target = run_to_file(args, tmp_path)
     assert time.perf_counter() - start < 1.0

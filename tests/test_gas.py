@@ -52,6 +52,25 @@ def test_translational_energy_rejects_fractional_k():
         translational_energy(1.5, RG)
 
 
+def test_translational_energy_refuses_an_overflowing_k():
+    # k*k past the float range raised a bare OverflowError; just below it the
+    # energy rounded to inf, and inf - mu is a NaN at mu = inf.
+    for k in (10**300, -(10**300), 10**154):
+        with pytest.raises(DomainError, match=f"level k = {k} overflows"):
+            translational_energy(k, GasParams(OscillatorParams()))
+    assert translational_energy(10**154, RG) == 1e308
+
+
+def test_joint_energy_refuses_two_finite_parts_that_overflow_together():
+    q = int(1.5e308)
+    assert math.isfinite(translational_energy(10**154, RG))
+    assert math.isfinite(joint_energy(0, q, RG))
+    with pytest.raises(DomainError, match=rf"\(k, q\) = \(-{10**154}, {q}\) overflows"):
+        joint_energy(-(10**154), q, RG)
+    with pytest.raises(DomainError, match=f"level q = {10**400} overflows"):
+        joint_energy(0, 10**400, RG)
+
+
 def test_box_length_validation():
     with pytest.raises(DomainError):
         GasParams(OscillatorParams(), box_length=0.0)

@@ -52,6 +52,9 @@ def test_mode_energy_refuses_an_overflowing_level():
     assert mode_energy(1, p) == 1.5e308
     with pytest.raises(DomainError, match="overflows"):
         mode_energy(2, p)
+    # q past the float range raised a bare OverflowError from q + 0.5
+    with pytest.raises(DomainError, match=f"level q = {10**400} overflows"):
+        mode_energy(10**400, REDUCED)
 
 
 def test_params_validation():

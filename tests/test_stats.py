@@ -1,4 +1,4 @@
-"""Tests for occupation statistics, ladder means, and the free Bose branch.
+"""Tests for occupation statistics, ladder means, and the Bose threshold check.
 
 Reference values were frozen from straightforward oracles evaluated to
 convergence before the adaptive implementations existed: direct logistic
@@ -22,11 +22,9 @@ from openosc import (
     Thermo,
     TruncationPolicy,
     bose_threshold_equivalence,
-    ideal_bose_gas,
     mean_particle_number,
     mode_energy,
     occupation_number,
-    translational_energy,
 )
 from openosc.stats import closing_terms, ladder_closing
 
@@ -252,61 +250,6 @@ def test_ladder_mean_certificate_brackets_a_longer_run():
     )
     assert loose.terms_used <= tight.terms_used
     assert abs(tight.value - loose.value) <= loose.tail_bound
-
-
-def test_ideal_bose_gas_deep_mu_ground_occupation():
-    result = ideal_bose_gas(Thermo(1.0, -10.0), RG, k_max=10)
-    assert result.occupations[0] == pytest.approx(
-        4.5401991009687765e-05, rel=1e-12
-    )
-    assert result.occupations[0] == pytest.approx(1.0 / math.expm1(10.0), rel=1e-12)
-
-
-def test_ideal_bose_gas_occupations_match_single_level_form():
-    t = Thermo(0.7, -2.0)
-    result = ideal_bose_gas(t, RG, k_max=6)
-    for k, n in result.occupations.items():
-        assert n == occupation_number(translational_energy(k, RG), t, BOSE)
-    assert set(result.occupations) == set(range(-6, 7))
-
-
-def test_ideal_bose_gas_log_partition_oracle():
-    t = Thermo(1.0, -1.0)
-    result = ideal_bose_gas(t, RG, k_max=8)
-    oracle = math.fsum(
-        -math.log(-math.expm1(-(translational_energy(k, RG) + 1.0)))
-        for k in range(-8, 9)
-    )
-    assert result.log_z == pytest.approx(oracle, rel=1e-13)
-    assert result.log_z > 0.0
-    assert result.converged
-
-
-def test_ideal_bose_gas_symmetric_occupations():
-    result = ideal_bose_gas(Thermo(1.0, -0.5), RG, k_max=5)
-    for k in range(1, 6):
-        assert result.occupations[k] == result.occupations[-k]
-
-
-def test_ideal_bose_gas_tail_shrinks_with_k_max():
-    tails = [
-        ideal_bose_gas(Thermo(1.0, -1.0), RG, k_max=k).tail_bound for k in (3, 5, 8)
-    ]
-    assert all(a > b for a, b in zip(tails, tails[1:]))
-    assert tails[-1] < 1e-30
-
-
-def test_ideal_bose_gas_rejects_mu_at_band_bottom():
-    with pytest.raises(ChemicalPotentialError) as err:
-        ideal_bose_gas(Thermo(1.0, 0.0), RG, k_max=4)
-    assert "k = [0" in str(err.value)
-    with pytest.raises(ChemicalPotentialError):
-        ideal_bose_gas(Thermo(1.0, 1.0), RG, k_max=4)
-
-
-def test_ideal_bose_gas_k_max_validation():
-    with pytest.raises(DomainError):
-        ideal_bose_gas(Thermo(1.0, -1.0), RG, k_max=-2)
 
 
 def test_threshold_equivalence_moderate_grid():
