@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DomainError
+from .errors import DomainError, spell
 from .spectra import OccupationState, OscillatorParams, check_scale, level_index
 
 __all__ = [
@@ -45,7 +45,7 @@ class ChainParams:
 
     def __post_init__(self) -> None:
         if self.count != int(self.count) or int(self.count) < 1:
-            raise DomainError(f"count must be a positive integer, got {self.count!r}")
+            raise DomainError(f"count must be a positive integer, got {spell(self.count)}")
         check_scale("coupling", self.coupling, zero_ok=True)
 
 
@@ -75,7 +75,7 @@ class ChainAssignment:
 def _check_assignment(a: ChainAssignment, ch: ChainParams) -> None:
     if len(a.levels) != ch.count:
         raise DomainError(
-            f"assignment covers {len(a.levels)} modes, chain has {ch.count}"
+            f"assignment covers {len(a.levels)} modes, chain has {spell(ch.count)}"
         )
 
 
@@ -152,7 +152,7 @@ def q_min_chain(mu: float, q: int, a: ChainAssignment, ch: ChainParams) -> float
     _check_assignment(a, ch)
     groups = a.level_groups()
     if q not in groups:
-        raise DomainError(f"no mode is assigned ladder index {q!r}")
+        raise DomainError(f"no mode is assigned ladder index {spell(q)}")
     freqs = chain_frequencies(ch)
     denom = _fsum((ch.osc.hbar * freqs[s - 1] for s in groups[q]), "group frequency sum")
     return mu / denom - 0.5

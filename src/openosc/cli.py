@@ -100,9 +100,10 @@ def _convert(name: str, spec: _Param, raw: Any, source: str) -> Any:
     if spec.type == "stat":
         if not isinstance(raw, str):
             raise fail("'bose' or 'fermi'")
-        if raw.strip().lower() not in ("bose", "fermi"):
-            raise UsageError(f"{source} value for 'stat' must be bose or fermi, got {raw!r}")
-        return raw.strip().lower()
+        try:
+            return StatisticsKind.from_name(raw).value
+        except DomainError:
+            raise fail("bose or fermi") from None
     if spec.type == "str":
         if not isinstance(raw, str):
             raise fail("a string")

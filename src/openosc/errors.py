@@ -5,6 +5,8 @@ with bad physical input; the CLI maps it to its own exit code, distinct
 from usage errors and from numerical non-convergence.
 """
 
+from typing import Any
+
 __all__ = [
     "DomainError",
     "ClosureError",
@@ -32,3 +34,15 @@ class EnumerationLimitError(DomainError):
 
 class ConvergenceError(RuntimeError):
     """A truncated series failed to meet its tolerance within the term cap."""
+
+
+def spell(value: Any) -> str:
+    """``repr(value)`` for an error message that repeats an index or count.
+
+    An ``int`` past ``sys.get_int_max_str_digits()`` has no decimal ``repr``;
+    it is spelled by its sign and bit length instead.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'-' if value < 0 else ''}<int of {abs(value).bit_length()} bits>"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, spell
 from .spectra import (
     OccupationState, OscillatorParams, check_mu, check_scale, finite_energy, level_index,
     mode_energy,
@@ -67,7 +67,7 @@ class GasParams:
 
 def _translational_index(k: int) -> int:
     if k != int(k):
-        raise DomainError(f"translational index must be an integer, got {k!r}")
+        raise DomainError(f"translational index must be an integer, got {spell(k)}")
     return int(k)
 
 
@@ -136,7 +136,7 @@ def bose_gas_condition(mu: float, g: GasParams, k_max: int) -> BoseConditionRepo
     than silently resolved.
     """
     if k_max < 0:
-        raise DomainError(f"k_max must be non-negative, got {k_max!r}")
+        raise DomainError(f"k_max must be non-negative, got {spell(k_max)}")
     rows = []
     for k in range(-int(k_max), int(k_max) + 1):
         extended = joint_energy(k, 0, g) - mu > 0.0

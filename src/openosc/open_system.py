@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, spell
 from .spectra import OccupationState, OscillatorParams, check_mu, level_index, mode_energy
 
 __all__ = [
@@ -74,7 +74,7 @@ def accessible_set(
 ) -> AccessibleSet:
     """Classify levels ``0..q_max`` by the sign of their effective energy."""
     if q_max < 0:
-        raise DomainError(f"q_max must be non-negative, got {q_max!r}")
+        raise DomainError(f"q_max must be non-negative, got {spell(q_max)}")
     if eps < 0.0:
         raise DomainError(f"eps must be non-negative, got {eps!r}")
     acc: list[int] = []

@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import ChemicalPotentialError, DomainError, EnumerationLimitError
+from .errors import ChemicalPotentialError, DomainError, EnumerationLimitError, spell
 from .spectra import OscillatorParams, level_index, mode_energy
 from .stats import StatisticsKind, Thermo
 
@@ -73,7 +73,7 @@ class Configuration:
 def per_mode_limit(kind: StatisticsKind, cutoff: int) -> int:
     """Largest count per mode that enumeration visits: 1 for fermions, else ``cutoff``."""
     if cutoff != int(cutoff) or int(cutoff) < 0:
-        raise DomainError(f"cutoff must be a non-negative integer, got {cutoff!r}")
+        raise DomainError(f"cutoff must be a non-negative integer, got {spell(cutoff)}")
     # Fermionic counts are 0/1 regardless of any requested cutoff.
     return 1 if kind is StatisticsKind.FERMI else int(cutoff)
 
@@ -84,7 +84,7 @@ def _checked_limit(kind: StatisticsKind, cutoff: int, n_modes: int) -> int:
     size = (limit + 1) ** n_modes
     if size > CONFIGURATION_CAP:
         raise EnumerationLimitError(
-            f"{size} configurations exceed the cap of {CONFIGURATION_CAP}"
+            f"{spell(size)} configurations exceed the cap of {CONFIGURATION_CAP}"
         )
     return limit
 

@@ -40,11 +40,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ChemicalPotentialError, DomainError
+from .errors import ChemicalPotentialError, DomainError, spell
 from .gas import GasParams
 from .stats import (
-    StatisticsKind, Thermo, check_bose_ground, closing_start, fast_occupations, ladder_closing,
-    occupation_number,
+    StatisticsKind, Thermo, check_bose_ground, closing_start, ladder_closing, occupation_numbers
 )
 from .summation import (
     Block, SeriesResult, TruncationPolicy, block_sizes, certified_sum, geom_tails2
@@ -121,16 +120,13 @@ def _reduced_steps(mu: float, c: float, kind: StatisticsKind) -> Iterator[Block]
     The occupation at energy ``r + 1/2`` equals ``1 / (C*exp(r) -+ 1)``
     exactly; its exponent is ``(r + 1/2) - mu`` since ``beta = 1``.
     """
-    t = Thermo(1.0, mu)
     bose = kind is StatisticsKind.BOSE
     start = 0
     for size in block_sizes():
         shells = range(start, start + size)
         start += size
         mults, t2s = _reduced_shells(shells.start, shells.stop)
-        occupations = fast_occupations([r + 0.5 - mu for r in shells], kind)
-        if occupations is None:
-            occupations = [occupation_number(r + 0.5, t, kind) for r in shells]
+        occupations = occupation_numbers([r + 0.5 - mu for r in shells], kind)
         terms = [m * r * n for m, r, n in zip(mults, shells, occupations)]
         ds = [1.0 - math.exp(-(r + 1.0)) / c for r in shells] if bose else [1.0] * size
         yield terms, mults, [3.0 * t2 / (c * d) for t2, d in zip(t2s, ds)]
@@ -211,9 +207,7 @@ def _column_steps(
             cut = bisect_left(xs, x_close)
             terms = []
             if cut:
-                occupations = fast_occupations(xs[:cut], kind)
-                if occupations is None:
-                    occupations = [occupation_number(e, t, kind) for e in energies[:cut]]
+                occupations = occupation_numbers(xs[:cut], kind)
                 terms = [mult * (alpha * e + gamma) * n for e, n in zip(energies, occupations)]
             if cut == size:
                 yield terms, [mult] * size, [math.inf] * size
@@ -314,7 +308,7 @@ def quartic_reciprocal_tail(a: int) -> float:
     certifies.
     """
     if a != int(a) or int(a) < 1:
-        raise DomainError(f"tail start must be a positive integer, got {a!r}")
+        raise DomainError(f"tail start must be a positive integer, got {spell(a)}")
     a = int(a)
     r_stop = 4 * a + 1000
     rs = np.arange(a, r_stop + 1, dtype=float)

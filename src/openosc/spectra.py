@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping
 
-from .errors import ClosureError, DomainError
+from .errors import ClosureError, DomainError, spell
 
 __all__ = [
     "OscillatorParams",
@@ -78,7 +78,7 @@ def check_mu(mu: float) -> None:
 def level_index(q: int) -> int:
     """Return ladder index ``q`` as an ``int``; reject negative or fractional ones."""
     if q != int(q) or int(q) < 0:
-        raise DomainError(f"level index must be a non-negative integer, got {q!r}")
+        raise DomainError(f"level index must be a non-negative integer, got {spell(q)}")
     return int(q)
 
 
@@ -106,7 +106,9 @@ class OccupationState:
         for key, n in self.occupations.items():
             level = self._level(key)
             if n != int(n) or int(n) < 0:
-                raise DomainError(f"occupation count must be a non-negative integer, got {n!r}")
+                raise DomainError(
+                    f"occupation count must be a non-negative integer, got {spell(n)}"
+                )
             if int(n) > 0:
                 clean[level] = int(n)
         object.__setattr__(self, "occupations", clean)
@@ -131,12 +133,12 @@ class OccupationState:
         derived = sum(self.occupations.values())
         if derived != self.total:
             raise ClosureError(
-                f"declared total {self.total} != summed occupations {derived}"
+                f"declared total {spell(self.total)} != summed occupations {spell(derived)}"
             )
         for key, n in self.occupations.items():
             self._level(key)
             if n < 0:
-                raise DomainError(f"invalid entry q={key!r}, n={n!r}")
+                raise DomainError(f"invalid entry q={spell(key)}, n={spell(n)}")
 
 
 def mode_energy(q: int, p: OscillatorParams) -> float:
@@ -149,7 +151,7 @@ def mode_energy(q: int, p: OscillatorParams) -> float:
     """
     # Inline rather than level_index(q): this runs once per summed term.
     if q != int(q) or int(q) < 0:
-        raise DomainError(f"level index must be a non-negative integer, got {q!r}")
+        raise DomainError(f"level index must be a non-negative integer, got {spell(q)}")
     try:
         energy = p.quantum * (q + 0.5)
     except OverflowError:  # q past the float range
@@ -160,7 +162,7 @@ def mode_energy(q: int, p: OscillatorParams) -> float:
 def finite_energy(energy: float, name: str, index: Any) -> float:
     """``energy``, or ``DomainError`` naming the level ``name = index`` where it is ``inf``."""
     if energy == math.inf:  # an infinite level would make E - mu a NaN at mu = inf
-        raise DomainError(f"energy of level {name} = {index!r} overflows the float range")
+        raise DomainError(f"energy of level {name} = {spell(index)} overflows the float range")
     return energy
 
 

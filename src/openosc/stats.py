@@ -8,6 +8,10 @@ with the upper sign for bosons and the lower for fermions.  The Bose
 branch is only defined for ``beta * (eps - mu) > 0``; this module refuses
 invalid arguments instead of returning a negative "occupation".
 
+One kernel, ``occupation_numbers``, evaluates every occupation in the package,
+one level's or a sum's block of them, and alone raises on a Bose ``x <= 0``
+or warns below ``_TINY_X``.
+
 ``ladder_closing`` adds a ladder's occupations from a level with ``x > 0``
 on in closed form.  The ladder mean and every gas column in ``series``
 close with it from their first level with ``x >= closing_start(y)``.
@@ -118,28 +122,37 @@ def occupation_number(energy: float, t: Thermo, kind: StatisticsKind) -> float:
         For the Bose branch when ``0 < x < 1e-12``, where the result
         exceeds ~1e12 and carries essentially no relative precision.
     """
-    x = t.beta * (energy - t.mu)
+    return occupation_numbers([t.beta * (energy - t.mu)], kind)[0]
+
+
+def occupation_numbers(xs: Sequence[float], kind: StatisticsKind) -> list[float]:
+    """``occupation_number`` at the exponents ``xs``: the one place either formula is evaluated.
+
+    The first Bose ``x <= 0`` raises; else one warning per call if a Bose ``x < _TINY_X``,
+    naming the line two calls up: the caller of ``occupation_number``, or the line
+    of ``certified_sum`` that pulls a sum's blocks.
+    """
     if kind is StatisticsKind.FERMI:
-        if x >= 0.0:
-            z = math.exp(-x)
-            return z / (1.0 + z)
-        return 1.0 / (math.exp(x) + 1.0)
-    if x <= 0.0:
-        raise ChemicalPotentialError(
-            f"Bose occupation undefined: beta*(energy - mu) = {x!r} <= 0"
-        )
-    if x < _TINY_X:
-        # One constant message, so the default filter reports a long sum once.
-        warnings.warn(
-            f"Bose occupation at beta*(energy - mu) < {_TINY_X:g} exceeds ~1e12; "
-            "the value is dominated by rounding of the exponent",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if x > _LARGE_X:
-        z = math.exp(-x)
-        return z / (1.0 - z)
-    return 1.0 / math.expm1(x)
+        return [
+            1.0 / (math.exp(x) + 1.0) if x < 0.0 else (z := math.exp(-x)) / (1.0 + z)
+            for x in xs
+        ]
+    if not min(xs, default=_TINY_X) >= _TINY_X:  # also a NaN first
+        low = [x for x in xs if x < _TINY_X]
+        for x in low:
+            if x <= 0.0:
+                raise ChemicalPotentialError(
+                    f"Bose occupation undefined: beta*(energy - mu) = {x!r} <= 0"
+                )
+        if low:
+            # One constant message, so the default filter reports a long sum once.
+            warnings.warn(
+                f"Bose occupation at beta*(energy - mu) < {_TINY_X:g} exceeds ~1e12; "
+                "the value is dominated by rounding of the exponent",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+    return [(z := math.exp(-x)) / (1.0 - z) if x > _LARGE_X else 1.0 / math.expm1(x) for x in xs]
 
 
 def mean_particle_number(
@@ -209,23 +222,6 @@ def check_bose_ground(t: Thermo, quantum: float, kind: StatisticsKind, what: str
         )
 
 
-def fast_occupations(xs: Sequence[float], kind: StatisticsKind) -> list[float] | None:
-    """``occupation_number`` at the exponents ``xs``, same bits, in one comprehension.
-
-    Returns ``None`` for bosons when some exponent is below ``_TINY_X``:
-    that level warns or raises, so the caller goes through
-    ``occupation_number`` level by level instead.
-    """
-    if kind is StatisticsKind.FERMI:
-        return [
-            1.0 / (math.exp(x) + 1.0) if x < 0.0 else (z := math.exp(-x)) / (1.0 + z)
-            for x in xs
-        ]
-    if not min(xs, default=_TINY_X) >= _TINY_X:
-        return None
-    return [1.0 / math.expm1(x) if x <= _LARGE_X else (z := math.exp(-x)) / (1.0 - z) for x in xs]
-
-
 def closing_start(y: float) -> float:
     """Exponent ``x_c`` where a ladder (the mean or a gas column) closes, or ``inf`` for none.
 
@@ -269,22 +265,12 @@ def _ladder_steps(
                 x_c = math.inf  # no closing fits: the rest goes level by level
             else:
                 size = close
-                levels = levels[: size + 1]
                 xs = xs[: size + 1]
-        if fermi:
-            # exp(-x) of a level is its occupation's z and the head of the tail before it
-            heads = [math.exp(-x) if x > -700.0 else math.inf for x in xs]
-            cut = bisect_left(xs, 0.0, 0, size)  # the levels before it have x < 0
-            terms = [1.0 / (math.exp(x) + 1.0) for x in xs[:cut]]
-            terms += [z / (1.0 + z) for z in heads[cut:size]]
-        else:
-            terms = fast_occupations(xs[:-1], kind)
-            if terms is None:
-                terms = [occupation_number(quantum * (q + 0.5), t, kind) for q in levels[:-1]]
+        terms = occupation_numbers(xs[:-1], kind)
         if not one_minus_ratio:  # y = 0: no geometric tail bound
             tails = [math.inf] * size
         elif fermi:
-            tails = [head / one_minus_ratio for head in heads[1:]]
+            tails = [(math.exp(-x) if x > -700.0 else math.inf) / one_minus_ratio for x in xs[1:]]
         else:
             tails = [math.exp(-x) / -math.expm1(-x) / one_minus_ratio for x in xs[1:]]
         if occupations is not None:

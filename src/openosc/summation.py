@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, spell
 
 __all__ = ["TruncationPolicy", "SeriesResult", "certified_sum"]
 
@@ -45,16 +45,16 @@ class TruncationPolicy:
         if self.abs_tol < 0.0:
             raise DomainError(f"abs_tol must be non-negative, got {self.abs_tol!r}")
         if int(self.max_terms) < 1:
-            raise DomainError(f"max_terms must be at least 1, got {self.max_terms!r}")
+            raise DomainError(f"max_terms must be at least 1, got {spell(self.max_terms)}")
 
     def satisfied(self, value: float, tail_bound: float) -> bool:
-        return tail_bound <= max(self.rel_tol * abs(value), self.abs_tol)
+        return self.first_satisfied((value,), (tail_bound,)) == 0
 
     def first_satisfied(self, values: Iterable[float], tail_bounds: Iterable[float]) -> int | None:
-        """Index of the first pair that meets ``satisfied``, or ``None``.
+        """Index of the first pair with ``tail <= max(rel_tol * |value|, abs_tol)``, or ``None``.
 
-        The same operations in the same order, mapped over both sequences
-        at C speed; pairs run out with the shorter sequence.
+        The one home of the stopping rule, mapped over both sequences at C
+        speed; pairs run out with the shorter sequence.
         """
         thresholds = map(
             max,

@@ -4,13 +4,16 @@ The reference bodies below are ``certified_sum``, the three step sources
 (ladder levels, reduced-series shells, gas shells) and the geometric tail
 formulas as first written: one ``(term, count, tail)`` step per generator resume, one
 ``occupation_number`` call per level and one test of the stopping rule per
-step.  The package evaluates whole blocks of steps instead; these tests pin
-that every ladder and reduced-series ``SeriesResult`` and every handed-back
-occupation keeps its exact bits, wherever the blocks start and end, and so
-does a ladder mean without occupations while it stops before its closing.
-Past that point it closes the ladder by the fugacity expansion, as the gas
-sums close each column, so both must agree with the step references within
-both certified tail bounds and the rounding of both sums.
+step.  ``occupation_number`` and the package's sums share one kernel,
+``stats.occupation_numbers``, so the kernel is pinned on its own against
+both occupation formulas written out here.  The package evaluates whole
+blocks of steps instead; these tests pin that every ladder and reduced-series
+``SeriesResult`` and every handed-back occupation keeps its exact bits,
+wherever the blocks start and end, and so does a ladder mean without
+occupations while it stops before its closing.  Past that point it closes
+the ladder by the fugacity expansion, as the gas sums close each column, so
+both must agree with the step references within both certified tail bounds
+and the rounding of both sums.
 """
 
 import itertools
@@ -23,6 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from openosc import (
+    ChemicalPotentialError,
     DomainError,
     GasParams,
     OscillatorParams,
@@ -38,7 +42,7 @@ from openosc import (
 )
 from openosc import series, stats, summation
 from openosc.series import _column_steps, _safe_exp
-from openosc.stats import _ladder_steps, closing_start
+from openosc.stats import _LARGE_X, _TINY_X, _ladder_steps, closing_start
 from openosc.summation import _FIRST_BLOCK, _MAX_BLOCK, block_sizes
 
 BOSE = StatisticsKind.BOSE
@@ -205,6 +209,76 @@ def check_ladder(beta, mu, kind, policy, omega=1.0):
     return expected
 
 
+# --- the occupation kernel ----------------------------------------------------
+
+
+def written_out_occupation(x, kind):
+    """``1/(exp(x) -+ 1)`` in the ``exp(-x)`` form above ``_LARGE_X`` (Bose) or from 0 (Fermi)."""
+    if kind is FERMI:
+        if x >= 0.0:
+            z = math.exp(-x)
+            return z / (1.0 + z)
+        return 1.0 / (math.exp(x) + 1.0)
+    if x > _LARGE_X:
+        z = math.exp(-x)
+        return z / (1.0 - z)
+    return 1.0 / math.expm1(x)
+
+
+def around(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+KERNEL_XS = [
+    0.0, -0.0, *around(_TINY_X), *around(-_TINY_X), *around(_LARGE_X),
+    700.0, -700.0, 800.0, -800.0, math.inf, -math.inf, math.nan,
+]
+TINY_WARNING = (
+    "Bose occupation at beta*(energy - mu) < 1e-12 exceeds ~1e12; "
+    "the value is dominated by rounding of the exponent"
+)
+
+
+@pytest.mark.parametrize("kind", [BOSE, FERMI])
+def test_occupation_kernel_is_both_formulas_bit_for_bit(kind):
+    xs = [x for x in KERNEL_XS if kind is FERMI or not x <= 0.0]  # NaN stays
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # x just below _TINY_X
+        block = stats.occupation_numbers(xs, kind)
+        levels = [occupation_number(x, Thermo(1.0), kind) for x in xs]  # beta*(x - 0.0) == x
+    expected = [repr(written_out_occupation(x, kind)) for x in xs]
+    assert [repr(n) for n in block] == expected
+    assert [repr(n) for n in levels] == expected
+
+
+def test_occupation_kernel_refuses_the_first_bose_exponent_at_or_below_zero():
+    for x in (0.0, -0.0, math.nextafter(0.0, -1.0), -_TINY_X, -800.0, -math.inf):
+        message = f"Bose occupation undefined: beta*(energy - mu) = {x!r} <= 0"
+        with pytest.raises(ChemicalPotentialError) as err:
+            stats.occupation_numbers([1.0, _TINY_X / 2, x, -1.0], BOSE)
+        assert str(err.value) == message
+        with pytest.raises(ChemicalPotentialError) as err:
+            occupation_number(x, Thermo(1.0), BOSE)
+        assert str(err.value) == message
+
+
+def test_occupation_kernel_warns_once_per_call_below_tiny_x():
+    tiny = [math.nextafter(_TINY_X, 0.0), 5e-324, 1e-300]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        stats.occupation_numbers(tiny + [1.0], BOSE)
+        stats.occupation_numbers([_TINY_X, 1.0], BOSE)
+        stats.occupation_numbers(tiny, FERMI)
+        occupation_number(tiny[0], Thermo(1.0), BOSE)
+    assert [(w.category, str(w.message)) for w in seen] == [(RuntimeWarning, TINY_WARNING)] * 2
+    assert seen[1].filename == __file__  # the line that called occupation_number
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        mean_particle_number(Thermo(1e-17), REDUCED, BOSE, TruncationPolicy(max_terms=40))
+    # one per block of 32 and 64 levels, at the line of certified_sum that pulls it
+    assert [w.filename for w in seen] == [summation.__file__] * 2
+
+
 # --- the ladder ---------------------------------------------------------------
 
 
@@ -261,7 +335,7 @@ def test_ladder_blocks_stop_at_the_cap_like_the_steps(kind, max_terms):
 @pytest.mark.parametrize("beta, omega", [(1e-17, 1.0), (1.0, 1e-320), (1e-13, 1.0)])
 def test_ladder_blocks_in_the_bose_blowup_window(beta, omega):
     # Every level (beta = 1e-17, omega = 1e-320) or the first few thousand
-    # (beta = 1e-13) have 0 < x < _TINY_X and go through occupation_number.
+    # (beta = 1e-13) have 0 < x < _TINY_X, where occupation_numbers warns.
     policy = TruncationPolicy(max_terms=3 * _MAX_BLOCK)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -472,13 +546,13 @@ def test_block_sizes_is_one_fixed_schedule():
 
 
 def evaluated_and_used(monkeypatch, module, call):
-    """Levels or shells ``fast_occupations`` evaluated in ``call()``, and the steps its sum used."""
+    """Levels or shells the kernel evaluated in ``call()``, and the steps its sum used."""
     evaluated = []
     used = []
 
-    def counted(xs, kind, _fast=stats.fast_occupations):
+    def counted(xs, kind, _kernel=stats.occupation_numbers):
         evaluated.append(len(xs))
-        return _fast(xs, kind)
+        return _kernel(xs, kind)
 
     def recorded(blocks, policy, _sum=summation.certified_sum):
         counts = []
@@ -493,7 +567,7 @@ def evaluated_and_used(monkeypatch, module, call):
         used.append(bisect_left(list(itertools.accumulate(counts)), result.terms_used) + 1)
         return result
 
-    monkeypatch.setattr(module, "fast_occupations", counted)
+    monkeypatch.setattr(module, "occupation_numbers", counted)
     monkeypatch.setattr(module, "certified_sum", recorded)
     call()
     (steps,) = used
@@ -509,8 +583,8 @@ def check_waste(evaluated, used):
 @pytest.mark.parametrize("occupations", [[], None], ids=["occupations", "closed"])
 @pytest.mark.parametrize("beta", [3.0, 1.0, 0.3, 0.1, 0.03, 0.01, 1e-3])
 def test_ladder_evaluates_at_most_one_block_past_its_stop(monkeypatch, beta, occupations):
-    # Bose mu = 0 keeps every exponent above _TINY_X, so each level goes through
-    # fast_occupations; the stops lie from level 8 (first block) to level 25,449.
+    # Every level goes through occupation_numbers; the stops lie from level 8
+    # (first block) to level 25,449.
     policy = TruncationPolicy(rel_tol=1e-12)
     evaluated, used = evaluated_and_used(
         monkeypatch, stats,

@@ -684,6 +684,27 @@ def test_config_list_elements_follow_scalar_rules(args, config, code, expected, 
     assert expected in (out if code == 0 else json.loads(err)["error"]["message"])
 
 
+@pytest.mark.parametrize(
+    "config, expected",
+    [
+        (None, "flag value for 'stat' must be bose or fermi, got 'boson'"),
+        ({"stat": "boson"}, "config[stats] value for 'stat' must be bose or fermi, got 'boson'"),
+        ({"stat": 1}, "config[stats] value for 'stat' must be 'bose' or 'fermi', got 1"),
+    ],
+    ids=["flag", "config", "config-not-a-string"],
+)
+def test_unknown_statistics_is_a_usage_error(config, expected, tmp_path, capsys):
+    args = ["stats", "--stat", "boson"]
+    if config is not None:
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(config))
+        args = ["stats", "--config", str(cfg)]
+    assert main(args) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == expected
+    # the names StatisticsKind reads, spaces and case aside
+    assert parse_job(["stats", "--stat", " FERMI "]).params["stat"] == "fermi"
+
+
 def test_config_kind_mismatch(tmp_path):
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps({"kind": "gas"}))

@@ -545,7 +545,9 @@ def test_truncation_policy_first_satisfied_is_the_same_rule():
     for policy in (TruncationPolicy(1e-3, 1e-6), TruncationPolicy(1e-3, 0.0), TruncationPolicy(1)):
         for value, tail in itertools.product(specials, repeat=2):
             met = policy.first_satisfied([value], [tail])
-            assert (met == 0) is policy.satisfied(value, tail), (policy, value, tail)
+            rule = tail <= max(policy.rel_tol * abs(value), policy.abs_tol)  # written out
+            assert (met == 0) is rule, (policy, value, tail)
+            assert policy.satisfied(value, tail) is rule, (policy, value, tail)
             assert met in (0, None)
     policy = TruncationPolicy(rel_tol=1e-3, abs_tol=1e-6)
     assert policy.first_satisfied([10.0, 10.0, 0.0, 10.0], [0.011, math.nan, 1e-7, 0.0]) == 2

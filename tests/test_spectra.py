@@ -7,13 +7,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openosc import (
+    ChainAssignment,
+    ChainParams,
     ClosureError,
     DomainError,
     GasOccupationState,
+    GasParams,
+    ModeSet,
     OccupationState,
     OscillatorParams,
+    StatisticsKind,
+    Thermo,
+    TruncationPolicy,
+    accessible_set,
+    bose_gas_condition,
     ensemble_energy,
+    gc_average_occupation,
+    level_index,
     mode_energy,
+    q_min_chain,
+    q_min_gas,
+    quartic_reciprocal_tail,
+    translational_energy,
 )
 
 REDUCED = OscillatorParams()
@@ -55,6 +70,45 @@ def test_mode_energy_refuses_an_overflowing_level():
     # q past the float range raised a bare OverflowError from q + 0.5
     with pytest.raises(DomainError, match=f"level q = {10**400} overflows"):
         mode_energy(10**400, REDUCED)
+
+
+# Past Python's default limit of 4,300 digits for converting an int to str.
+HUGE = 10**5000
+SPELLED = f"<int of {HUGE.bit_length()} bits>"
+NONNEG = "a non-negative integer"
+RG = GasParams.reduced()
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: translational_energy(HUGE, RG), f"level k = {SPELLED} overflows"),
+        (lambda: mode_energy(HUGE, REDUCED), f"level q = {SPELLED} overflows"),
+        (lambda: level_index(-HUGE), f"index must be {NONNEG}, got -{SPELLED}"),
+        (lambda: q_min_gas(0.0, HUGE, RG), f"level k = {SPELLED} overflows"),
+        (lambda: OccupationState({-HUGE: 1}), f"index must be {NONNEG}, got -{SPELLED}"),
+        (lambda: OccupationState({0: -HUGE}), f"count must be {NONNEG}, got -{SPELLED}"),
+        (lambda: OccupationState({0: 1}, total=HUGE), f"declared total {SPELLED} != summed"),
+        (lambda: bose_gas_condition(0.0, RG, -HUGE), f"k_max must be non-negative, got -{SPELLED}"),
+        (lambda: accessible_set(0.0, REDUCED, -HUGE), f"non-negative, got -{SPELLED}"),
+        (lambda: quartic_reciprocal_tail(-HUGE), f"positive integer, got -{SPELLED}"),
+        (lambda: TruncationPolicy(max_terms=-HUGE), f"at least 1, got -{SPELLED}"),
+        (lambda: ChainParams(-HUGE, REDUCED), f"count must be a positive integer, got -{SPELLED}"),
+        (
+            lambda: q_min_chain(0.0, 0, ChainAssignment((0,)), ChainParams(HUGE, REDUCED)),
+            f"chain has {SPELLED}",
+        ),
+        (
+            lambda: gc_average_occupation(ModeSet((1.0,)), Thermo(1.0), StatisticsKind.BOSE, HUGE),
+            f"{SPELLED} configurations exceed the cap",
+        ),
+    ],
+)
+def test_an_index_or_count_too_long_to_print_is_spelled_by_its_size(call, expected):
+    # The message that repeats it raised a bare ValueError from int -> str instead.
+    with pytest.raises(DomainError) as err:
+        call()
+    assert expected in str(err.value)
 
 
 def test_params_validation():
