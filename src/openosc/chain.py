@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, spell
-from .spectra import OccupationState, OscillatorParams, check_scale, level_index
+from .spectra import OccupationState, OscillatorParams, check_integer, check_scale, level_index
 
 __all__ = [
     "ChainParams",
@@ -44,8 +44,7 @@ class ChainParams:
     coupling: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.count != int(self.count) or int(self.count) < 1:
-            raise DomainError(f"count must be a positive integer, got {spell(self.count)}")
+        object.__setattr__(self, "count", check_integer("count", self.count, 1))
         check_scale("coupling", self.coupling, zero_ok=True)
 
 

@@ -33,7 +33,7 @@ from .gas import GasParams, joint_energy, q_min_gas
 from .open_system import effective_frequency, is_accessible, q_min_vibrational
 from .oracle import ModeSet, gc_average_occupation, per_mode_limit
 from .series import reduced_series, reduced_series_bound
-from .spectra import OscillatorParams, mode_energy
+from .spectra import OscillatorParams, check_integer, mode_energy
 from .stats import StatisticsKind, Thermo, mean_particle_number, occupation_number
 from .summation import SeriesResult, TruncationPolicy
 
@@ -58,10 +58,11 @@ class Job:
 
 @dataclass(frozen=True)
 class _Param:
-    type: str  # float | nonneg | posint | stat | str | int_list | float_list
+    type: str  # float | int | stat | str | int_list | float_list
     default: Any = None
     required: bool = False
     help: str = ""
+    least: int | None = None  # parse-time floor of a CLI loop bound; else the library checks
 
 
 # A sweep repeats an inner job of any kind in _KINDS over a grid of one of its
@@ -70,7 +71,7 @@ _SWEEP_PARAMS = {
     "param": _Param("str", "mu", help="numeric parameter of the inner job to sweep"),
     "start": _Param("float", required=True),
     "stop": _Param("float", required=True),
-    "steps": _Param("posint", 7),
+    "steps": _Param("int", 7, least=1),
 }
 
 
@@ -85,18 +86,14 @@ def _convert(name: str, spec: _Param, raw: Any, source: str) -> Any:
             return float(raw)
         except ValueError:
             raise fail("a number") from None
-    if spec.type in ("nonneg", "posint"):
+    if spec.type == "int":
         if isinstance(raw, bool) or not isinstance(raw, (int, str)):
             raise fail("an integer")
         try:
             value = int(raw)
         except ValueError:
             raise fail("an integer") from None
-        if spec.type == "nonneg" and value < 0:
-            raise DomainError(f"{name} must be non-negative, got {value}")
-        if spec.type == "posint" and value < 1:
-            raise DomainError(f"{name} must be a positive integer, got {value}")
-        return value
+        return value if spec.least is None else check_integer(name, value, spec.least)
     if spec.type == "stat":
         if not isinstance(raw, str):
             raise fail("'bose' or 'fermi'")
@@ -230,9 +227,9 @@ def parse_job(argv: Sequence[str]) -> Job:
     """Turn an argument vector into a validated Job.
 
     Raises UsageError for malformed input (unknown keys included) and
-    DomainError for an integer bound of the CLI's own loops (sizes, sweep
-    steps) out of range.  Physical preconditions are the library's to
-    check; they surface from run_job.
+    DomainError for a bound of the CLI's own loops (qmax, kmax, sweep steps)
+    out of range.  Every other precondition, count, max_terms and cutoff
+    included, is the library's to check; it surfaces from run_job.
     """
     parser = _build_parser()
     try:
@@ -409,7 +406,7 @@ _KINDS: dict[str, _Kind] = {
         "omega": _Param("float", 1.0, help="oscillator frequency"),
         "hbar": _Param("float", 1.0, help="reduced Planck constant"),
         "mu": _Param("float", 0.0, help="chemical potential"),
-        "qmax": _Param("nonneg", 10, help="highest ladder level reported"),
+        "qmax": _Param("int", 10, help="highest ladder level reported", least=0),
     }, columns=("q", "energy", "omega_eff", "accessible"), run=_run_spectrum),
     "gas": _Kind("joint translational-vibrational levels and thresholds", {
         "omega": _Param("float", 1.0),
@@ -417,13 +414,13 @@ _KINDS: dict[str, _Kind] = {
         "mass": _Param("float", 1.0),
         "box_length": _Param("float", 1.0, help="periodic box length"),
         "mu": _Param("float", 0.0),
-        "kmax": _Param("nonneg", 5, help="half-width of the k range"),
-        "qmax": _Param("nonneg", 10),
+        "kmax": _Param("int", 5, help="half-width of the k range", least=0),
+        "qmax": _Param("int", 10, least=0),
     }, columns=("k", "q", "energy", "effective_term", "q_min_k"), run=_run_gas),
     "chain": _Kind("normal-mode frequencies and assignment energies", {
         "omega": _Param("float", 1.0),
         "hbar": _Param("float", 1.0),
-        "count": _Param("posint", required=True, help="number of chain sites"),
+        "count": _Param("int", required=True, help="number of chain sites"),
         "coupling": _Param("float", 0.0, help="nearest-neighbour coupling"),
         "mu": _Param("float", 0.0),
         "levels": _Param("int_list", None, help="ladder index per mode, e.g. 0,0,1"),
@@ -435,13 +432,13 @@ _KINDS: dict[str, _Kind] = {
         "omega": _Param("float", 1.0),
         "hbar": _Param("float", 1.0),
         "rel_tol": _Param("float", 1e-10, help="relative truncation tolerance"),
-        "max_terms": _Param("posint", 10_000_000, help="term cap for the adaptive sum"),
+        "max_terms": _Param("int", 10_000_000, help="term cap for the adaptive sum"),
     }, columns=("level", "occupation"), run=_run_stats),
     "bounds": _Kind("reduced series against its analytic ceiling", {
         "stat": _Param("stat", required=True),
         "mu": _Param("float", 0.0),
         "rel_tol": _Param("float", 1e-10),
-        "max_terms": _Param("posint", 10_000_000),
+        "max_terms": _Param("int", 10_000_000),
     }, columns=("mu", "S_numeric", "tail_bound", "lemma_bound", "pass"), run=_run_bounds),
     "oracle": _Kind("closed-form occupations against brute-force enumeration", {
         "stat": _Param("stat", required=True),
@@ -449,8 +446,8 @@ _KINDS: dict[str, _Kind] = {
         "mu": _Param("float", 0.0),
         "omega": _Param("float", 1.0),
         "hbar": _Param("float", 1.0),
-        "qmax": _Param("nonneg", 4, help="ladder modes 0..qmax when no energies given"),
-        "cutoff": _Param("nonneg", 8, help="per-mode count cap for Bose enumeration"),
+        "qmax": _Param("int", 4, help="ladder modes 0..qmax when no energies given", least=0),
+        "cutoff": _Param("int", 8, help="per-mode count cap for Bose enumeration"),
         "energies": _Param("float_list", None, help="explicit mode energies, e.g. 0.5,1.5"),
     }, columns=("mode", "closed_form", "oracle_value", "abs_error"), run=_run_oracle),
 }

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 ``DomainError`` covers every precondition violation a caller can trigger
-with bad physical input; the CLI maps it to its own exit code, distinct
+with bad physical input, NaN, infinite and fractional values of an index,
+count or size included; the CLI maps it to its own exit code, distinct
 from usage errors and from numerical non-convergence.
 """
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, spell
 from .spectra import (
-    OccupationState, OscillatorParams, check_mu, check_scale, finite_energy, level_index,
-    mode_energy,
+    OccupationState, OscillatorParams, check_integer, check_mu, check_scale, finite_energy,
+    level_index, mode_energy,
 )
 
 __all__ = [
@@ -65,15 +64,9 @@ class GasParams:
         return cls(OscillatorParams(hbar=1.0, mass=2.0 * math.pi**2, omega=1.0), 1.0)
 
 
-def _translational_index(k: int) -> int:
-    if k != int(k):
-        raise DomainError(f"translational index must be an integer, got {spell(k)}")
-    return int(k)
-
-
 def translational_energy(k: int, g: GasParams) -> float:
     """Free-motion energy ``prefactor * k^2`` of integer ``k``; ``DomainError`` on overflow."""
-    k = _translational_index(k)
+    k = check_integer("translational index", k, None)
     try:
         energy = g.translational_prefactor * (k * k)
     except OverflowError:  # k*k past the float range
@@ -94,7 +87,7 @@ class GasOccupationState(OccupationState):
     @staticmethod
     def _level(key: tuple[int, int]) -> tuple[int, int]:
         k, q = key
-        return (_translational_index(k), level_index(q))
+        return (check_integer("translational index", k, None), level_index(q))
 
 
 def effective_energy_gas(occ: GasOccupationState, mu: float, g: GasParams) -> float:
@@ -135,10 +128,9 @@ def bose_gas_condition(mu: float, g: GasParams, k_max: int) -> BoseConditionRepo
     ``eps_k <= mu < eps_k + hbar*omega/2`` is reported per ``k`` rather
     than silently resolved.
     """
-    if k_max < 0:
-        raise DomainError(f"k_max must be non-negative, got {spell(k_max)}")
+    k_max = check_integer("k_max", k_max)
     rows = []
-    for k in range(-int(k_max), int(k_max) + 1):
+    for k in range(-k_max, k_max + 1):
         extended = joint_energy(k, 0, g) - mu > 0.0
         classic = translational_energy(k, g) - mu > 0.0
         rows.append(BoseConditionRow(k, extended, classic, extended and not classic))

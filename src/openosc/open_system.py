@@ -14,8 +14,10 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, spell
-from .spectra import OccupationState, OscillatorParams, check_mu, level_index, mode_energy
+from .spectra import (
+    OccupationState, OscillatorParams, check_integer, check_mu, check_scale, level_index,
+    mode_energy,
+)
 
 __all__ = [
     "FermionClass",
@@ -73,13 +75,11 @@ def accessible_set(
     mu: float, p: OscillatorParams, q_max: int, eps: float = 0.0
 ) -> AccessibleSet:
     """Classify levels ``0..q_max`` by the sign of their effective energy."""
-    if q_max < 0:
-        raise DomainError(f"q_max must be non-negative, got {spell(q_max)}")
-    if eps < 0.0:
-        raise DomainError(f"eps must be non-negative, got {eps!r}")
+    q_max = check_integer("q_max", q_max)
+    check_scale("eps", eps, zero_ok=True)
     acc: list[int] = []
     edge: list[int] = []
-    for q in range(int(q_max) + 1):
+    for q in range(q_max + 1):
         w = effective_frequency(q, mu, p)
         if abs(w) <= eps:
             edge.append(q)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import ChemicalPotentialError, DomainError, EnumerationLimitError, spell
-from .spectra import OscillatorParams, level_index, mode_energy
+from .spectra import OscillatorParams, check_integer, mode_energy
 from .stats import StatisticsKind, Thermo
 
 __all__ = [
@@ -50,7 +50,7 @@ class ModeSet:
     @classmethod
     def from_oscillator(cls, p: OscillatorParams, q_max: int) -> "ModeSet":
         """Ladder levels ``hbar*omega*(q + 1/2)`` for ``q = 0..q_max``."""
-        return cls(tuple(mode_energy(q, p) for q in range(level_index(q_max) + 1)))
+        return cls(tuple(mode_energy(q, p) for q in range(check_integer("q_max", q_max) + 1)))
 
     def __len__(self) -> int:
         return len(self.energies)
@@ -72,10 +72,9 @@ class Configuration:
 
 def per_mode_limit(kind: StatisticsKind, cutoff: int) -> int:
     """Largest count per mode that enumeration visits: 1 for fermions, else ``cutoff``."""
-    if cutoff != int(cutoff) or int(cutoff) < 0:
-        raise DomainError(f"cutoff must be a non-negative integer, got {spell(cutoff)}")
+    cutoff = check_integer("cutoff", cutoff)
     # Fermionic counts are 0/1 regardless of any requested cutoff.
-    return 1 if kind is StatisticsKind.FERMI else int(cutoff)
+    return 1 if kind is StatisticsKind.FERMI else cutoff
 
 
 def _checked_limit(kind: StatisticsKind, cutoff: int, n_modes: int) -> int:

@@ -40,8 +40,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ChemicalPotentialError, DomainError, spell
+from .errors import ChemicalPotentialError, DomainError
 from .gas import GasParams
+from .spectra import check_integer, check_scale
 from .stats import (
     StatisticsKind, Thermo, check_bose_ground, closing_start, ladder_closing, occupation_numbers
 )
@@ -307,9 +308,7 @@ def quartic_reciprocal_tail(a: int) -> float:
     special-function library stands between this number and the series it
     certifies.
     """
-    if a != int(a) or int(a) < 1:
-        raise DomainError(f"tail start must be a positive integer, got {spell(a)}")
-    a = int(a)
+    a = check_integer("a", a, 1)
     r_stop = 4 * a + 1000
     rs = np.arange(a, r_stop + 1, dtype=float)
     return float(np.sum(rs**-4.0)) + 1.0 / (3.0 * r_stop**3)
@@ -370,17 +369,19 @@ def verify_series_estimates(
 
     Each family reports its tightest case so a pass is inspectable.
     """
-    if zeta_terms < 1 or k_max < 1 or grid_step <= 0.0 or grid_max < 0.0:
-        raise DomainError("verification parameters must be positive")
+    zeta_terms = check_integer("zeta_terms", zeta_terms, 1)
+    k_max = check_integer("k_max", k_max, 1)
+    check_scale("grid_step", grid_step)
+    check_scale("grid_max", grid_max, zero_ok=True)
     checks: list[CheckResult] = []
 
     for p in (4, 6, 8):
-        gap, bound = _zeta_partial_gap(p, int(zeta_terms))
+        gap, bound = _zeta_partial_gap(p, zeta_terms)
         checks.append(CheckResult(f"zeta-partial-p{p}", gap <= bound, gap, bound))
 
     tightest: tuple[int, float, float, float] | None = None
     all_ok = True
-    for k in range(1, int(k_max) + 1):
+    for k in range(1, k_max + 1):
         upper = quartic_reciprocal_tail(k * k)
         bound = (2.0 / k**6 + 6.0 / k**8) / 6.0
         all_ok = all_ok and upper <= bound

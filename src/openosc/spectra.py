@@ -5,6 +5,10 @@ for integer ``q >= 0``.  Many-body states of non-interacting particles on
 that ladder are sparse occupation maps ``q -> n_q``; the total particle
 number is the sum of the counts and is carried explicitly so that a
 malformed state can be rejected rather than silently repaired.
+
+It is also the one home of the three argument rules: ``check_scale`` for
+scales and tolerances, ``check_mu`` for the chemical potential, and
+``check_integer`` for every index, count and size.
 """
 
 from __future__ import annotations
@@ -75,11 +79,26 @@ def check_mu(mu: float) -> None:
         raise DomainError(f"mu must be a number, got {mu!r}")
 
 
+def check_integer(name: str, value: Any, least: int | None = 0) -> int:
+    """``int(value)``, or ``DomainError`` unless ``value`` is a whole number ``>= least``.
+
+    ``least`` is 0, 1 or ``None``, which allows any sign.  Integral floats
+    pass; NaN, infinities, fractions and non-numbers do not.
+    """
+    try:
+        n = int(value)
+        whole = n == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole or least is not None and n < least:
+        rule = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}[least]
+        raise DomainError(f"{name} must be {rule}, got {spell(value)}")
+    return n
+
+
 def level_index(q: int) -> int:
     """Return ladder index ``q`` as an ``int``; reject negative or fractional ones."""
-    if q != int(q) or int(q) < 0:
-        raise DomainError(f"level index must be a non-negative integer, got {spell(q)}")
-    return int(q)
+    return check_integer("level index", q)
 
 
 @dataclass(frozen=True)
@@ -105,12 +124,9 @@ class OccupationState:
         clean = {}
         for key, n in self.occupations.items():
             level = self._level(key)
-            if n != int(n) or int(n) < 0:
-                raise DomainError(
-                    f"occupation count must be a non-negative integer, got {spell(n)}"
-                )
-            if int(n) > 0:
-                clean[level] = int(n)
+            n = check_integer("occupation count", n)
+            if n > 0:
+                clean[level] = n
         object.__setattr__(self, "occupations", clean)
         if self.total is None:
             object.__setattr__(self, "total", sum(clean.values()))
@@ -149,9 +165,7 @@ def mode_energy(q: int, p: OscillatorParams) -> float:
     DomainError
         If ``q`` is negative or not an integer, or the energy overflows.
     """
-    # Inline rather than level_index(q): this runs once per summed term.
-    if q != int(q) or int(q) < 0:
-        raise DomainError(f"level index must be a non-negative integer, got {spell(q)}")
+    q = level_index(q)
     try:
         energy = p.quantum * (q + 0.5)
     except OverflowError:  # q past the float range

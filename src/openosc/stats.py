@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 
 from .errors import ChemicalPotentialError, DomainError
 from .gas import GasParams, joint_energy, q_min_gas
-from .spectra import OscillatorParams, check_mu
+from .spectra import OscillatorParams, check_integer, check_mu
 from .summation import (
     _MAX_BLOCK, Block, SeriesResult, TruncationPolicy, block_sizes, certified_sum
 )
@@ -385,14 +385,14 @@ def bose_threshold_equivalence(
     the occupation underflows to ``+0.0``, which still counts as a valid
     non-negative value.
     """
-    if k_max < 0 or q_max < 0:
-        raise DomainError("k_max and q_max must be non-negative")
+    k_max = check_integer("k_max", k_max)
+    q_max = check_integer("q_max", q_max)
     t = Thermo(beta, mu)
     mismatches: list[tuple[int, int]] = []
     points = 0
-    for k in range(-int(k_max), int(k_max) + 1):
+    for k in range(-k_max, k_max + 1):
         threshold = q_min_gas(mu, k, g)
-        for q in range(int(q_max) + 1):
+        for q in range(q_max + 1):
             points += 1
             defined = t.beta * (joint_energy(k, q, g) - mu) > 0.0
             accessible = q > threshold

@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, spell
+from .spectra import check_integer, check_scale
 
 __all__ = ["TruncationPolicy", "SeriesResult", "certified_sum"]
 
@@ -40,12 +40,9 @@ class TruncationPolicy:
     max_terms: int = 10_000_000
 
     def __post_init__(self) -> None:
-        if not self.rel_tol > 0.0:
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        if self.abs_tol < 0.0:
-            raise DomainError(f"abs_tol must be non-negative, got {self.abs_tol!r}")
-        if int(self.max_terms) < 1:
-            raise DomainError(f"max_terms must be at least 1, got {spell(self.max_terms)}")
+        check_scale("rel_tol", self.rel_tol)
+        check_scale("abs_tol", self.abs_tol, zero_ok=True)
+        object.__setattr__(self, "max_terms", check_integer("max_terms", self.max_terms, 1))
 
     def satisfied(self, value: float, tail_bound: float) -> bool:
         return self.first_satisfied((value,), (tail_bound,)) == 0

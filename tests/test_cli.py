@@ -15,6 +15,7 @@ import pytest
 
 from openosc import cli
 from openosc.cli import UsageError, main, parse_job, run_job
+from openosc.errors import DomainError
 
 JOB_ARGS = {
     "spectrum": ["spectrum", "--mu", "2.5", "--qmax", "5"],
@@ -488,6 +489,40 @@ def test_non_finite_or_vanishing_scales_exit_3(args, message, tmp_path, capsys):
     error = json.loads(lines[0])["error"]
     assert error["type"] == "DomainError"
     assert error["message"] == message
+
+
+NONNEG = "must be a non-negative integer, got -1"
+POSINT = "must be a positive integer, got 0"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["spectrum", "--qmax", "-1"], "qmax " + NONNEG),
+    (["gas", "--kmax", "-1"], "kmax " + NONNEG),
+    (["oracle", "--stat", "bose", "--energies", "0.5", "--qmax", "-1"], "qmax " + NONNEG),
+    (["sweep", "--start", "0", "--stop", "1", "--steps", "0", "spectrum"], "steps " + POSINT),
+    (["chain", "--count", "0"], "count " + POSINT),
+    (["sweep", "--start", "0", "--stop", "1", "chain", "--count", "0"], "count " + POSINT),
+    (["stats", "--stat", "fermi", "--max-terms", "0"], "max_terms " + POSINT),
+    (["bounds", "--stat", "bose", "--max-terms", "0"], "max_terms " + POSINT),
+    (["oracle", "--stat", "fermi", "--cutoff", "-1"], "cutoff " + NONNEG),
+], ids=["spectrum-qmax", "gas-kmax", "oracle-qmax", "sweep-steps", "chain-count",
+        "sweep-chain-count", "stats-max-terms", "bounds-max-terms", "oracle-cutoff"])
+def test_an_integer_out_of_range_exits_3_in_the_library_wording(args, message, tmp_path, capsys):
+    # The CLI worded its own copies of these checks "qmax must be non-negative".
+    code, target = run_to_file(args, tmp_path)
+    assert code == 3
+    assert not target.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["message"] == message
+
+
+def test_parse_job_leaves_the_library_sizes_to_the_library():
+    # Only the bounds of the CLI's own loops are checked at parse time.
+    job = parse_job(["oracle", "--stat", "fermi", "--cutoff", "-1"])
+    assert job.params["cutoff"] == -1
+    with pytest.raises(DomainError, match="qmax " + NONNEG):
+        parse_job(["oracle", "--stat", "fermi", "--qmax", "-1"])
 
 
 def test_sweep_report_shape(tmp_path):

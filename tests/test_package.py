@@ -105,3 +105,21 @@ def test_every_module_level_definition_is_public_or_used():
         and node.name not in declared_all(tree) | used
     ]
     assert not dead
+
+
+def test_no_comparison_converts_an_operand_with_int():
+    # `x != int(x)` and `int(x) < 0` are hand-written integer checks, which
+    # crash on NaN and infinities; spectra.check_integer is their one home.
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in SOURCES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(
+            isinstance(operand, ast.Call)
+            and isinstance(operand.func, ast.Name)
+            and operand.func.id == "int"
+            for operand in (node.left, *node.comparators)
+        )
+    ]
+    assert not found

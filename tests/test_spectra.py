@@ -21,14 +21,18 @@ from openosc import (
     TruncationPolicy,
     accessible_set,
     bose_gas_condition,
+    bose_threshold_equivalence,
+    chain_frequencies,
     ensemble_energy,
     gc_average_occupation,
     level_index,
     mode_energy,
+    per_mode_limit,
     q_min_chain,
     q_min_gas,
     quartic_reciprocal_tail,
     translational_energy,
+    verify_series_estimates,
 )
 
 REDUCED = OscillatorParams()
@@ -89,10 +93,13 @@ RG = GasParams.reduced()
         (lambda: OccupationState({-HUGE: 1}), f"index must be {NONNEG}, got -{SPELLED}"),
         (lambda: OccupationState({0: -HUGE}), f"count must be {NONNEG}, got -{SPELLED}"),
         (lambda: OccupationState({0: 1}, total=HUGE), f"declared total {SPELLED} != summed"),
-        (lambda: bose_gas_condition(0.0, RG, -HUGE), f"k_max must be non-negative, got -{SPELLED}"),
-        (lambda: accessible_set(0.0, REDUCED, -HUGE), f"non-negative, got -{SPELLED}"),
+        (lambda: bose_gas_condition(0.0, RG, -HUGE), f"k_max must be {NONNEG}, got -{SPELLED}"),
+        (lambda: accessible_set(0.0, REDUCED, -HUGE), f"q_max must be {NONNEG}, got -{SPELLED}"),
         (lambda: quartic_reciprocal_tail(-HUGE), f"positive integer, got -{SPELLED}"),
-        (lambda: TruncationPolicy(max_terms=-HUGE), f"at least 1, got -{SPELLED}"),
+        (
+            lambda: TruncationPolicy(max_terms=-HUGE),
+            f"max_terms must be a positive integer, got -{SPELLED}",
+        ),
         (lambda: ChainParams(-HUGE, REDUCED), f"count must be a positive integer, got -{SPELLED}"),
         (
             lambda: q_min_chain(0.0, 0, ChainAssignment((0,)), ChainParams(HUGE, REDUCED)),
@@ -109,6 +116,69 @@ def test_an_index_or_count_too_long_to_print_is_spelled_by_its_size(call, expect
     with pytest.raises(DomainError) as err:
         call()
     assert expected in str(err.value)
+
+
+BOSE = StatisticsKind.BOSE
+
+# (name in the message, least allowed value or None for any sign, call) for
+# each public entry point that takes an index, count or size.
+INTEGER_ARGUMENTS = [
+    ("level index", 0, lambda v: level_index(v)),
+    ("level index", 0, lambda v: mode_energy(v, REDUCED)),
+    ("level index", 0, lambda v: OccupationState({v: 1})),
+    ("occupation count", 0, lambda v: OccupationState({0: v})),
+    ("translational index", None, lambda v: translational_energy(v, RG)),
+    ("translational index", None, lambda v: GasOccupationState({(v, 0): 1})),
+    ("k_max", 0, lambda v: bose_gas_condition(0.0, RG, v)),
+    ("count", 1, lambda v: chain_frequencies(ChainParams(v, REDUCED))),
+    ("q_max", 0, lambda v: accessible_set(0.0, REDUCED, v)),
+    ("k_max", 0, lambda v: bose_threshold_equivalence(0.0, RG, v, 2)),
+    ("q_max", 0, lambda v: bose_threshold_equivalence(0.0, RG, 1, v)),
+    ("cutoff", 0, lambda v: per_mode_limit(BOSE, v)),
+    ("cutoff", 0, lambda v: gc_average_occupation(ModeSet((1.0,)), Thermo(1.0), BOSE, v)),
+    ("q_max", 0, lambda v: ModeSet.from_oscillator(REDUCED, v)),
+    ("a", 1, lambda v: quartic_reciprocal_tail(v)),
+    ("zeta_terms", 1, lambda v: verify_series_estimates(zeta_terms=v)),
+    ("k_max", 1, lambda v: verify_series_estimates(k_max=v)),
+    ("max_terms", 1, lambda v: TruncationPolicy(max_terms=v)),
+]
+INTEGER_IDS = [f"{i}-{name}" for i, (name, _, _) in enumerate(INTEGER_ARGUMENTS)]
+# Each call with each value that is not a whole number, and with one below its least.
+NOT_WHOLE = [math.nan, math.inf, -math.inf, 2.5, None, "3"]
+REFUSED = [
+    pytest.param(name, call, value, id=f"{case}-{value!r}")
+    for case, (name, least, call) in zip(INTEGER_IDS, INTEGER_ARGUMENTS)
+    for value in NOT_WHOLE + ([] if least is None else [least - 1])
+]
+
+
+@pytest.mark.parametrize("name, call, value", REFUSED)
+def test_every_index_count_and_size_refuses_what_is_not_a_whole_number(name, call, value):
+    # NaN and the infinities raised a bare ValueError or OverflowError from int();
+    # a fractional size was truncated or stored as given.
+    with pytest.raises(DomainError, match=f"{name} must be"):
+        call(value)
+
+
+@pytest.mark.parametrize("name, least, call", INTEGER_ARGUMENTS, ids=INTEGER_IDS)
+def test_an_integral_float_index_count_or_size_gives_the_result_of_its_int(name, least, call):
+    # ChainParams(3.0, p) was accepted, then chain_frequencies died in range(1, 4.0).
+    assert repr(call(3.0)) == repr(call(3))
+
+
+@pytest.mark.parametrize("name, call", [
+    ("rel_tol", lambda v: TruncationPolicy(rel_tol=v)),
+    ("abs_tol", lambda v: TruncationPolicy(abs_tol=v)),
+    ("eps", lambda v: accessible_set(0.0, REDUCED, 2, eps=v)),
+    ("grid_step", lambda v: verify_series_estimates(grid_step=v)),
+    ("grid_max", lambda v: verify_series_estimates(grid_max=v)),
+], ids=["rel_tol", "abs_tol", "eps", "grid_step", "grid_max"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_every_tolerance_and_grid_knob_is_a_checked_scale(name, call, value):
+    # A NaN abs_tol was accepted and acted as 0; a NaN eps ran, and a NaN
+    # grid_step or infinite grid_max died of a bare ValueError or OverflowError.
+    with pytest.raises(DomainError, match=f"{name} must be"):
+        call(value)
 
 
 def test_params_validation():
