@@ -126,7 +126,8 @@ def bose_gas_condition(mu: float, g: GasParams, k_max: int) -> BoseConditionRepo
     The extended condition opens the joint ground level ``(k, 0)``; the
     classic one ignores the zero-point shift.  Their disagreement window
     ``eps_k <= mu < eps_k + hbar*omega/2`` is reported per ``k`` rather
-    than silently resolved.
+    than silently resolved.  The cost is linear in ``k_max``, with no cap:
+    a huge but valid ``k_max`` runs that long.
     """
     k_max = check_integer("k_max", k_max)
     rows = []

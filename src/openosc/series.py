@@ -12,20 +12,22 @@ holds ``2*floor(sqrt(r)) + 1`` identical terms, so
     S(mu) = sum_{r >= 0} (2*floor(sqrt(r)) + 1) * r / (C * exp(r) -+ 1).
 
 The gas sums in physical units go column by column: column ``+-k`` is a
-ladder in ``q``, added level by level while ``x = beta*(E - mu)`` is below
-``stats.closing_start(beta*hbar*omega)``, where the ladder mean closes too,
-and closed by the fugacity expansion ``n(x) = sum_j (+-1)^(j+1) exp(-j*x)``,
+ladder in ``q``, summed by the ladder mean's walker (``stats._ladder_blocks``):
+level by level while ``x = beta*(E - mu)`` is below ``stats.closing_start``,
+then closed by the fugacity expansion ``n(x) = sum_j (+-1)^(j+1) exp(-j*x)``,
 whose sums over ``q`` are geometric (``stats.ladder_closing``).
 
 Every adaptive sum below carries a closed-form tail bound, so a
 ``converged`` result certifies its own truncation error: the reduced
-series through ``sum_{r >= m} r^2 x^r``, a gas sum through each closing's
-remainder (under ``2**-64`` of it, or ``rel_tol`` if smaller) plus a bound on all later columns
-(``_columns_after``).  Neither covers the rounding of the driver's plain
-adds, at most ``(terms_used + 16) * 2**-53 * |value|`` for positive
-terms: ~100 times less for a gas sum of ~1.7k terms (``beta = 0.011``)
-than for the ~175k of the diagonal shells it replaced.  ``reduced_series_bound``
-gives the a-priori analytic ceiling the numerics are checked against.
+series through ``sum_{r >= m} r^2 x^r``, a gas sum through the closed
+columns' remainders (under ``2**-64`` of each, or ``rel_tol`` if smaller), a
+bound on all later columns (``_columns_after``) and a geometric bound on the
+rest of the column it is in, so it may stop inside a column.  Neither covers
+the rounding of the driver's plain adds, at most ``(terms_used + 16) * 2**-53 *
+|value|`` for positive terms: ~100 times less for a gas sum of ~1.7k terms
+(``beta = 0.011``) than for the ~175k of the diagonal shells it replaced.
+``reduced_series_bound`` gives the a-priori analytic ceiling the numerics are
+checked against.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import decimal
 import functools
 import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -43,9 +44,7 @@ import numpy as np
 from .errors import ChemicalPotentialError, DomainError
 from .gas import GasParams
 from .spectra import check_integer, check_scale
-from .stats import (
-    StatisticsKind, Thermo, check_bose_ground, closing_start, ladder_closing, occupation_numbers
-)
+from .stats import StatisticsKind, Thermo, _ladder_blocks, check_bose_ground, occupation_numbers
 from .summation import (
     Block, SeriesResult, TruncationPolicy, block_sizes, certified_sum, geom_tails2
 )
@@ -178,49 +177,26 @@ def _shell_sum(
     check_bose_ground(t, g.osc.quantum, kind, "gas")
     if not math.isfinite(gamma):  # E - mu at an infinite mu: inf * 0 on every level
         raise DomainError(f"the weight E - mu is not finite at mu = {t.mu!r}")
-    return certified_sum(_column_steps(t, g, kind, alpha, gamma, policy.rel_tol), policy)
+    return certified_sum(_column_steps(t, g, kind, alpha, gamma, policy), policy)
 
 
 def _column_steps(
-    t: Thermo, g: GasParams, kind: StatisticsKind, alpha: float, gamma: float, rel_tol: float
+    t: Thermo, g: GasParams, kind: StatisticsKind, alpha: float, gamma: float,
+    policy: TruncationPolicy,
 ) -> Iterator[Block]:
-    """Blocks of columns ``k = 0, 1, ...``: the head levels, then one closing step.
+    """Blocks of columns ``k = 0, 1, ...``, each one ladder of ``stats._ladder_blocks``.
 
-    The head is the levels with ``x < closing_start(y)``, one step each with
-    an infinite tail, in ``block_sizes`` pieces.  The closing step adds the
-    rest of the column by ``ladder_closing``; its tail is the remainders of
-    the closings so far plus ``_columns_after``, the bound on later columns.
+    Column ``k``'s tails add the remainders of the columns closed before it and
+    ``_columns_after``, the bound on later columns.
     """
-    b = g.osc.quantum
-    a = g.translational_prefactor
-    beta, mu = t.beta, t.mu
-    y = beta * b
-    x_close = closing_start(y)
-    remainders = 0.0
+    b, a = g.osc.quantum, g.translational_prefactor
+    used, remainders = 0, 0.0
     for k in itertools.count():
-        mult = 2 if k else 1
-        corner = a * k * k
-        start = 0
-        for size in block_sizes():
-            energies = [corner + b * (q + 0.5) for q in range(start, start + size)]
-            start += size
-            xs = [beta * (e - mu) for e in energies]
-            cut = bisect_left(xs, x_close)
-            terms = []
-            if cut:
-                occupations = occupation_numbers(xs[:cut], kind)
-                terms = [mult * (alpha * e + gamma) * n for e, n in zip(energies, occupations)]
-            if cut == size:
-                yield terms, [mult] * size, [math.inf] * size
-                continue
-            value, count, remainder = ladder_closing(
-                xs[cut], alpha * energies[cut] + gamma, alpha * b, y, kind, rel_tol
-            )
-            remainders += mult * remainder
-            terms.append(mult * value)
-            tail = remainders + _columns_after(k, t, g, kind, alpha, gamma)
-            yield terms, [mult] * cut + [count], [math.inf] * cut + [tail]
-            break
+        extra = remainders + _columns_after(k, t, g, kind, alpha, gamma)
+        used, remainder = yield from _ladder_blocks(
+            t, b, a * k * k, alpha, gamma, 2 if k else 1, kind, policy, used, extra
+        )
+        remainders += remainder
 
 
 def _columns_after(
@@ -276,11 +252,12 @@ def equilibrium_effective_energy(
 
     With ``mu_shifted=True`` each term carries ``(E - mu)`` instead of
     ``E``, i.e. the grand-canonical effective weight.  Columns ``+-k``
-    are summed in turn, ``k = 0, 1, ...``: the levels with
-    ``beta*(E - mu) < closing_start(beta*hbar*omega)`` one by one, the rest
-    of the column by ``ladder_closing``.  The tail bound is the closings'
-    remainders plus ``_columns_after``'s bound on every column not yet
-    summed.  An infinite ``mu`` with ``mu_shifted`` raises ``DomainError``.
+    are summed in turn, ``k = 0, 1, ...``, each a ladder of the mean's walker:
+    the levels with ``beta*(E - mu) < closing_start(beta*hbar*omega)`` one by
+    one, the rest by ``ladder_closing`` if that fits the policy.  The tail
+    bound is the closings' remainders, ``_columns_after``'s bound on every
+    column not yet summed and a geometric bound on the current column's
+    remaining levels.  An infinite ``mu`` with ``mu_shifted`` raises ``DomainError``.
     """
     gamma = -t.mu if mu_shifted else 0.0
     return _shell_sum(t, g, kind, policy or TruncationPolicy(), 1.0, gamma)
@@ -367,12 +344,15 @@ def verify_series_estimates(
     2. ``sum_{r >= k^2} r^-4 <= (1/6) (2/k^6 + 6/k^8)`` for each ``k``.
     3. ``exp(r) >= r^5/120`` across the sampled grid.
 
-    Each family reports its tightest case so a pass is inspectable.
+    Each family reports its tightest case so a pass is inspectable.  The cost
+    is linear in ``k_max`` and in ``grid_max / grid_step``, with no cap: a huge
+    but finite size runs that long.
     """
     zeta_terms = check_integer("zeta_terms", zeta_terms, 1)
     k_max = check_integer("k_max", k_max, 1)
     check_scale("grid_step", grid_step)
     check_scale("grid_max", grid_max, zero_ok=True)
+    check_scale("grid_max / grid_step", grid_max / grid_step, zero_ok=True)
     checks: list[CheckResult] = []
 
     for p in (4, 6, 8):

@@ -12,9 +12,11 @@ One kernel, ``occupation_numbers``, evaluates every occupation in the package,
 one level's or a sum's block of them, and alone raises on a Bose ``x <= 0``
 or warns below ``_TINY_X``.
 
-``ladder_closing`` adds a ladder's occupations from a level with ``x > 0``
-on in closed form.  The ladder mean and every gas column in ``series``
-close with it from their first level with ``x >= closing_start(y)``.
+One walker, ``_ladder_blocks``, sums the ladder mean and every gas column in
+``series``: levels one by one, each with a geometric tail bound on the rest.  It
+alone decides where and whether a ladder closes: at its first level with
+``x >= closing_start(y)``, where ``ladder_closing`` adds the rest in closed form,
+if that fits the term cap and meets the policy.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Generator, Sequence
 
 from .errors import ChemicalPotentialError, DomainError
 from .gas import GasParams, joint_energy, q_min_gas
@@ -129,8 +131,8 @@ def occupation_numbers(xs: Sequence[float], kind: StatisticsKind) -> list[float]
     """``occupation_number`` at the exponents ``xs``: the one place either formula is evaluated.
 
     The first Bose ``x <= 0`` raises; else one warning per call if a Bose ``x < _TINY_X``,
-    naming the line two calls up: the caller of ``occupation_number``, or the line
-    of ``certified_sum`` that pulls a sum's blocks.
+    naming the line two calls up: the caller of ``occupation_number``, or the line that
+    pulls a sum's blocks (in ``certified_sum``; in ``series._column_steps`` for a gas sum).
     """
     if kind is StatisticsKind.FERMI:
         return [
@@ -172,8 +174,8 @@ def mean_particle_number(
 
     Unless the policy is met first, one closing step (``ladder_closing``)
     adds the levels from the first with ``x >= sqrt(46*beta*hbar*omega)``
-    on, with its remainder as the tail bound, if it fits under
-    ``max_terms``: ~1.4k terms instead of ~210k at ``beta = 1e-4``.
+    on, with its remainder as the tail bound, if it fits under ``max_terms``
+    and meets the policy: ~1.4k terms instead of ~210k at ``beta = 1e-4``.
 
     When ``occupations`` is a list, each summed occupation is appended to
     it in level order, ``terms_used`` entries in all.  Such a call never
@@ -194,7 +196,8 @@ def mean_particle_number(
         policy = TruncationPolicy()
     check_bose_ground(t, p.quantum, kind, "ladder")
     kept = 0 if occupations is None else len(occupations)
-    result = certified_sum(_ladder_steps(t, p, kind, policy, occupations), policy)
+    ladder = _ladder_blocks(t, p.quantum, 0.0, 0.0, 1.0, 1, kind, policy, occupations=occupations)
+    result = certified_sum(ladder, policy)
     if occupations is not None:
         del occupations[kept + result.terms_used :]
     return result
@@ -231,66 +234,80 @@ def closing_start(y: float) -> float:
     return math.sqrt(_FUGACITY_DEPTH * y) if y > _CLOSING_MIN_Y else math.inf
 
 
-def _ladder_steps(
-    t: Thermo,
-    p: OscillatorParams,
-    kind: StatisticsKind,
-    policy: TruncationPolicy,
-    occupations: list[float] | None,
-) -> Iterator[Block]:
-    """Blocks of consecutive levels; level ``q + 1``'s exponent anchors step ``q``'s tail.
+def _ladder_blocks(
+    t: Thermo, quantum: float, corner: float, alpha: float, gamma: float, mult: int,
+    kind: StatisticsKind, policy: TruncationPolicy, used: int = 0, extra: float = 0.0,
+    occupations: list[float] | None = None,
+) -> Generator[Block, None, tuple[int, float]]:
+    """Blocks of the ladder ``E_q = corner + quantum*(q + 1/2)``: level ``q`` adds
+    ``mult*(alpha*E_q + gamma)*n(x_q)``, ``alpha >= 0``, and counts ``mult`` terms.
 
-    The energies repeat ``mode_energy``'s expression without its index
-    check, which the generated ``q`` always passes.  Each block's
-    occupations are appended to ``occupations``, also those past the
-    stopping level, which the caller cuts off.  Without ``occupations``
-    the source ends with ``_closing_step`` at the first level with
-    ``x >= closing_start(y)``, if there is one.
+    Level ``q``'s tail is ``extra`` plus ``mult*c*exp(-x)/(1 - z)*(alpha*E + |gamma|
+    + alpha*quantum*z/(1 - z))`` at ``x = x_{q+1}``, ``E = E_{q+1}``, ``z = exp(-y)``,
+    ``c = 1`` (fermions) or ``1/(1 - exp(-x))`` (bosons): ``ladder_closing``'s first
+    bracket.  The mean's unit weight and ``extra = 0`` skip the weighting.  Blocks'
+    occupations are appended to ``occupations``; the caller cuts what it did not use.
+    Without ``occupations`` the ladder closes at its first level with ``x >= x_c =
+    closing_start(y)`` if the ``J`` closing terms fit under ``max_terms`` after the
+    ``used`` terms and the head, and the remainder meets the policy; then it returns
+    the terms used so far and ``mult`` times the remainder.
     """
-    beta, mu, quantum = t.beta, t.mu, p.quantum
+    beta = t.beta
+    shift = t.mu - corner  # level q's exponent is beta*(quantum*(q + 1/2) - shift)
     fermi = kind is StatisticsKind.FERMI
+    plain = not alpha and gamma == 1.0 and mult == 1 and not extra
     y = beta * quantum
-    one_minus_ratio = -math.expm1(-y)  # no cancellation at tiny y
+    om = -math.expm1(-y)  # 1 - z, without cancellation at tiny y
+    # Past E the weights are at most alpha*E + lift.  No geometric tail bound exists
+    # at y = 0 or where z/(1 - z) overflows (y ~ 1e-320); alpha = 0 skips that term.
+    lift = abs(gamma) + (alpha and alpha * quantum * math.exp(-y) / om) if om else math.inf
     x_c = math.inf if occupations is not None else closing_start(y)
+    edge = (x_c / beta + shift) / quantum  # about q + 1/2 where x reaches x_c
     start = 0
     for size in block_sizes():
+        # End the block just past the level where x reaches x_c; should rounding put
+        # that level one further, the next block holds it.
+        if edge - start < size:
+            size = int(max(edge - start, 0.0)) + 2
         levels = range(start, start + size + 1)
         start += size
-        xs = [beta * (quantum * (q + 0.5) - mu) for q in levels]
+        xs = [beta * (quantum * (q + 0.5) - shift) for q in levels]
         close = bisect_left(xs, x_c, 0, size) if x_c < math.inf else size
         closing = None
         if close < size:
-            closing = _closing_step(xs[close], levels[close], y, kind, policy)
+            head = used + mult * levels[close]
+            if head + closing_terms(xs[close], policy.rel_tol) <= policy.max_terms:
+                w = alpha * (corner + quantum * (levels[close] + 0.5)) + gamma
+                value, count, remainder = ladder_closing(
+                    xs[close], w, alpha * quantum, y, kind, policy.rel_tol
+                )
+                if policy.satisfied(mult * value, mult * remainder):
+                    closing = mult * value, count, mult * remainder
+                    size = close
+                    levels, xs = levels[: size + 1], xs[: size + 1]
             if closing is None:
-                x_c = math.inf  # no closing fits: the rest goes level by level
+                x_c = edge = math.inf  # no closing fits: the rest goes level by level
+        if size:
+            ns = occupation_numbers(xs[:-1], kind)
+            if occupations is not None:
+                occupations.extend(ns)
+            if lift == math.inf:
+                tails = [math.inf] * size
+            elif fermi:
+                tails = [(math.exp(-x) if x > -700.0 else math.inf) / om for x in xs[1:]]
             else:
-                size = close
-                xs = xs[: size + 1]
-        terms = occupation_numbers(xs[:-1], kind)
-        if not one_minus_ratio:  # y = 0: no geometric tail bound
-            tails = [math.inf] * size
-        elif fermi:
-            tails = [(math.exp(-x) if x > -700.0 else math.inf) / one_minus_ratio for x in xs[1:]]
-        else:
-            tails = [math.exp(-x) / -math.expm1(-x) / one_minus_ratio for x in xs[1:]]
-        if occupations is not None:
-            occupations.extend(terms)
+                tails = [math.exp(-x) / -math.expm1(-x) / om for x in xs[1:]]
+            if not plain:  # each energy weights its level's term and the tail before it
+                es = [corner + quantum * (q + 0.5) for q in levels] if alpha else [0.0] * len(xs)
+                ns = [mult * (alpha * e + gamma) * n for e, n in zip(es, ns)]
+                tails = [extra + mult * tail * (alpha * e + lift) for e, tail in zip(es[1:], tails)]
+        else:  # a gas column closes at its first level
+            ns = tails = []
         if closing is not None:
             value, count, remainder = closing
-            yield terms + [value], [1] * size + [count], tails + [remainder]
-            return
-        yield terms, [1] * size, tails
-
-
-def _closing_step(
-    x: float, head: int, y: float, kind: StatisticsKind, policy: TruncationPolicy
-) -> tuple[float, int, float] | None:
-    """The ladder's closing at ``x`` after ``head`` levels, or ``None`` if it would pass
-    ``max_terms`` or its remainder misses the policy (then the sum could not stop there)."""
-    if head + closing_terms(x, policy.rel_tol) > policy.max_terms:
-        return None
-    closing = ladder_closing(x, 1.0, 0.0, y, kind, policy.rel_tol)
-    return closing if policy.satisfied(closing[0], closing[2]) else None
+            yield ns + [value], [mult] * size + [count], tails + [extra + remainder]
+            return head + count, remainder
+        yield ns, [mult] * size, tails
 
 
 def closing_terms(x: float, rel_tol: float) -> int:
@@ -352,7 +369,7 @@ def _fugacity_terms(
     """``s^(j+1) T_j`` for ``start <= j < stop``, ``start`` odd."""
     js = range(start, stop)
     terms = [
-        math.exp(-j * x) * (w / om + slope * math.exp(-j * y) / om / om)
+        math.exp(-j * x) * (w / om + (slope and slope * math.exp(-j * y) / om / om))
         for j, om in zip(js, [-math.expm1(-j * y) for j in js])
     ]
     if fermi:

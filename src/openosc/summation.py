@@ -10,7 +10,8 @@ supplies it an endless source of blocks of steps; a step is a
 ``count`` the number of series terms it covers, and ``tail`` must bound
 everything after that step.  ``block_sizes`` is the one schedule that
 sizes the blocks of every series: a short sum takes one block of
-``_FIRST_BLOCK`` steps, a long one blocks that double up to ``_MAX_BLOCK``.
+``_FIRST_BLOCK`` steps, a long one blocks that double up to ``_MAX_BLOCK``;
+a ladder cuts the block that holds its closing level short.
 """
 
 from __future__ import annotations

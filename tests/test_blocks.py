@@ -10,10 +10,12 @@ both occupation formulas written out here.  The package evaluates whole
 blocks of steps instead; these tests pin that every ladder and reduced-series
 ``SeriesResult`` and every handed-back occupation keeps its exact bits,
 wherever the blocks start and end, and so does a ladder mean without
-occupations while it stops before its closing.  Past that point it closes
-the ladder by the fugacity expansion, as the gas sums close each column, so
-both must agree with the step references within both certified tail bounds
-and the rounding of both sums.
+occupations while it stops before its closing.  The mean and every gas
+column are one ladder walker, ``stats._ladder_blocks``: past its first level
+with ``x >= closing_start(y)`` it closes the ladder by the fugacity expansion,
+and before that every level has a geometric tail, so a gas sum may stop inside
+a column.  Closed sums must agree with the step references within both
+certified tail bounds and the rounding of both sums.
 """
 
 import itertools
@@ -42,7 +44,7 @@ from openosc import (
 )
 from openosc import series, stats, summation
 from openosc.series import _column_steps, _safe_exp
-from openosc.stats import _LARGE_X, _TINY_X, _ladder_steps, closing_start
+from openosc.stats import _LARGE_X, _TINY_X, _ladder_blocks, closing_start
 from openosc.summation import _FIRST_BLOCK, _MAX_BLOCK, block_sizes
 
 BOSE = StatisticsKind.BOSE
@@ -442,7 +444,8 @@ def test_closed_ladder_builds_no_list_longer_than_a_block(monkeypatch):
     monkeypatch.setattr(stats, "_fugacity_terms", recorded)
     for kind in (BOSE, FERMI):
         policy = TruncationPolicy()
-        blocks = list(_ladder_steps(Thermo(1e-8, 0.0), REDUCED, kind, policy, None))
+        ladder = _ladder_blocks(Thermo(1e-8, 0.0), REDUCED.quantum, 0.0, 0.0, 1.0, 1, kind, policy)
+        blocks = list(ladder)
         assert all(len(terms) == len(counts) == len(tails) <= _MAX_BLOCK
                    for terms, counts, tails in blocks)
         closing = blocks[-1][1][-1]
@@ -510,11 +513,11 @@ def test_shell_blocks_in_other_units(g, kind, mu):
             check_shells(t, g, kind, weight, TruncationPolicy(max_terms=max_terms))
 
 
-def test_shell_blocks_overshoot_the_cap_like_the_steps():
+def test_shell_blocks_stop_at_the_cap_like_the_steps():
     # Column 0 has 68 head levels here, those with x = 0.01*(q + 1/2) below
-    # closing_start(0.01) ~ 0.678, so a cap of 68 stops on its last head level
-    # and one of 69 falls on its closing step, which covers ~70 terms; the sum
-    # converges after ~1,800 terms.
+    # closing_start(0.01) ~ 0.678, so a cap of 68 stops on its last head level.
+    # A closing of ~70 terms would pass a cap of 69, so the column goes on level
+    # by level and stops on level 69; the sum converges after ~1,800 terms.
     beta = 0.01
     head = math.ceil(closing_start(beta) / beta - 0.5)
     assert head == 68
@@ -523,16 +526,16 @@ def test_shell_blocks_overshoot_the_cap_like_the_steps():
         result = check_shells(t, RG, BOSE, "count", TruncationPolicy(max_terms=max_terms))
         assert not result.converged
         assert result.terms_used >= max_terms
-        assert result.tail_bound > 0.0
-        if max_terms == head + 1:
-            assert result.terms_used > max_terms
+        assert 0.0 < result.tail_bound < math.inf
+        if max_terms <= head + 1:
+            assert result.terms_used == max_terms
 
 
 @pytest.mark.parametrize("beta", [1e-6, 0.01, 1.0])
 def test_column_blocks_stay_within_the_block_size(beta):
     # At beta = 1e-6 column 0 alone holds ~6.8k levels below closing_start(1e-6).
     for kind in (BOSE, FERMI):
-        blocks = _column_steps(Thermo(beta, 0.0), RG, kind, 1.0, 0.0, TruncationPolicy().rel_tol)
+        blocks = _column_steps(Thermo(beta, 0.0), RG, kind, 1.0, 0.0, TruncationPolicy())
         for terms, counts, tails in itertools.islice(blocks, 40):
             assert len(terms) == len(counts) == len(tails) <= _MAX_BLOCK
 
@@ -546,7 +549,11 @@ def test_block_sizes_is_one_fixed_schedule():
 
 
 def evaluated_and_used(monkeypatch, module, call):
-    """Levels or shells the kernel evaluated in ``call()``, and the steps its sum used."""
+    """Levels or shells the kernel evaluated in ``call()``, and the steps its sum used.
+
+    ``module`` is the one whose ``certified_sum`` runs the sum; every ladder
+    evaluates its levels in ``stats``, the reduced series its shells in ``series``.
+    """
     evaluated = []
     used = []
 
@@ -567,7 +574,8 @@ def evaluated_and_used(monkeypatch, module, call):
         used.append(bisect_left(list(itertools.accumulate(counts)), result.terms_used) + 1)
         return result
 
-    monkeypatch.setattr(module, "occupation_numbers", counted)
+    monkeypatch.setattr(stats, "occupation_numbers", counted)
+    monkeypatch.setattr(series, "occupation_numbers", counted)
     monkeypatch.setattr(module, "certified_sum", recorded)
     call()
     (steps,) = used
@@ -633,7 +641,6 @@ def closings_seen(monkeypatch, call):
         return _close(x, w, slope, y, kind, rel_tol)
 
     monkeypatch.setattr(stats, "ladder_closing", recorded)
-    monkeypatch.setattr(series, "ladder_closing", recorded)
     call()
     return seen
 

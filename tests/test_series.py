@@ -299,16 +299,20 @@ def test_reduced_series_certificate_covers_accumulated_rounding():
 
 
 def test_shell_sum_at_tiny_beta_reports_the_cap():
-    # exp(-beta*hbar*omega) rounds to 1.0 below beta*hbar*omega ~ 1.1e-16,
-    # where no geometric tail bound exists; the sum must stop at its cap.
+    # exp(-beta*hbar*omega) rounds to 1.0 below beta*hbar*omega ~ 1.1e-16, but
+    # 1 - exp(-y) taken as -expm1(-y) keeps the Fermi tail bound finite (~7e33
+    # here).  The Bose bound on the later columns is inf: _columns_after lowers
+    # their exponent 1.5e-17 past 0 by its rounding allowance.  Column 0 does not
+    # close at such y, so both sums go level by level to their cap.
     policy = TruncationPolicy(max_terms=1000)
     fermi = equilibrium_particle_number(Thermo(1e-17, 0.0), RG, FERMI, policy)
     with pytest.warns(RuntimeWarning, match="rounding of the exponent"):
         bose = equilibrium_particle_number(Thermo(1e-17, 0.0), RG, BOSE, policy)
+    assert 0.0 < fermi.tail_bound < math.inf
+    assert bose.tail_bound == math.inf
     for result in (fermi, bose):
         assert not result.converged
-        assert result.tail_bound == math.inf
-        assert result.terms_used >= policy.max_terms
+        assert result.terms_used == policy.max_terms
 
 
 @pytest.mark.parametrize("kind", [FERMI, BOSE], ids=["fermi", "bose"])
@@ -442,7 +446,7 @@ def test_bound_after_each_column_covers_the_dropped_columns(beta, kind, mu, weig
 @pytest.mark.parametrize("rel_tol", [1e-10, 1e-12, 1e-14])
 @pytest.mark.parametrize("weight", sorted(WEIGHTS))
 @pytest.mark.parametrize("kind, mu", COLUMN_CASES, ids=lambda v: getattr(v, "value", v))
-@pytest.mark.parametrize("beta", [0.05, 0.3, 1.0])
+@pytest.mark.parametrize("beta", [0.05, 0.3, 1.0, 10.0])
 def test_shell_sums_against_a_decimal_reference(beta, kind, mu, weight, rel_tol):
     # The driver's plain adds round by at most (terms + 16) * 2**-53 * |value|,
     # the allowance bench/checks.py grants; tail_bound covers the rest.
@@ -520,6 +524,13 @@ def test_verify_series_estimates_validation():
         verify_series_estimates(zeta_terms=0)
     with pytest.raises(DomainError):
         verify_series_estimates(grid_step=0.0)
+
+
+def test_verify_series_estimates_refuses_a_grid_count_that_overflows():
+    # 1e308 / 1e-308 is inf: no grid point count exists to loop over.
+    message = "grid_max / grid_step must be finite and non-negative, got inf"
+    with pytest.raises(DomainError, match=message):
+        verify_series_estimates(grid_max=1e308, grid_step=1e-308)
 
 
 def test_truncation_policy_validation():
