@@ -276,11 +276,10 @@ def _ladder_blocks(
         closing = None
         if close < size:
             head = used + mult * levels[close]
-            if head + closing_terms(xs[close], policy.rel_tol) <= policy.max_terms:
+            count = closing_terms(xs[close], policy.rel_tol)
+            if head + count <= policy.max_terms:
                 w = alpha * (corner + quantum * (levels[close] + 0.5)) + gamma
-                value, count, remainder = ladder_closing(
-                    xs[close], w, alpha * quantum, y, kind, policy.rel_tol
-                )
+                value, remainder = ladder_closing(xs[close], w, alpha * quantum, y, kind, count)
                 if policy.satisfied(mult * value, mult * remainder):
                     closing = mult * value, count, mult * remainder
                     size = close
@@ -321,9 +320,9 @@ def closing_terms(x: float, rel_tol: float) -> int:
 
 
 def ladder_closing(
-    x: float, w: float, slope: float, y: float, kind: StatisticsKind, rel_tol: float
-) -> tuple[float, int, float]:
-    """``sum_{i >= 0} (w + slope*i) * n(x + i*y)`` for ``x > 0``: value, terms, remainder.
+    x: float, w: float, slope: float, y: float, kind: StatisticsKind, count: int
+) -> tuple[float, float]:
+    """``sum_{i >= 0} (w + slope*i) * n(x + i*y)`` for ``x > 0``: value and remainder.
 
     For ``x > 0`` the occupation is its fugacity series
     ``n(x) = sum_{j >= 1} s^(j+1) exp(-j*x)``, ``s = 1`` for bosons and
@@ -332,8 +331,8 @@ def ladder_closing(
         sum_i (w + slope*i) n(x + i*y) = sum_{j >= 1} s^(j+1) T_j,
         T_j = exp(-j*x) * [w/(1 - z_j) + slope*z_j/(1 - z_j)^2],  z_j = exp(-j*y).
 
-    The value is the ``math.fsum`` of the first ``J = closing_terms(x, rel_tol)``
-    terms, in pieces of at most ``_MAX_BLOCK``, with ``1 - z_j`` taken as
+    The value is the ``math.fsum`` of the first ``J = count`` terms, in
+    pieces of at most ``_MAX_BLOCK``, with ``1 - z_j`` taken as
     ``-expm1(-j*y)``.  For ``w, slope >= 0`` the bracket falls with ``j``,
     so ``T_{j+1} <= exp(-x) T_j`` and the dropped terms add up to at most
     ``T_{J+1}/(1 - exp(-x))`` (bosons: positive, geometric) or ``T_{J+1}``
@@ -343,13 +342,13 @@ def ladder_closing(
 
         remainder / value <= exp(-J*x) / (1 - exp(-x)) <= c/2
 
-    once ``J*x >= log(2/c) - log(1 - exp(-x))``, the rule of
-    ``closing_terms``: below ``2**-64`` of the value, or ``rel_tol`` if
-    smaller, with a factor 2 to spare for rounding.  Below ``x = 1`` that
-    takes ~``log(1/(1 - exp(-x)))/x`` terms more than ``46/x``; from
-    ``x = 1`` up, at ``rel_tol >= 2**-64``, ``J = ceil(46/x)``.
+    once ``J*x >= log(2/c) - log(1 - exp(-x))``, the rule by which the
+    caller's ``closing_terms(x, rel_tol)`` picks ``J``: below ``2**-64`` of
+    the value, or ``rel_tol`` if smaller, with a factor 2 to spare for
+    rounding.  Below ``x = 1`` that takes ~``log(1/(1 - exp(-x)))/x`` terms
+    more than ``46/x``; from ``x = 1`` up, at ``rel_tol >= 2**-64``,
+    ``J = ceil(46/x)``.
     """
-    count = closing_terms(x, rel_tol)
     fermi = kind is StatisticsKind.FERMI
     pieces = (
         _fugacity_terms(j, min(j + _MAX_BLOCK, count + 1), x, w, slope, y, fermi)
@@ -360,7 +359,7 @@ def ladder_closing(
     remainder *= 1.0 + 2.0**-48
     if not fermi:
         remainder /= -math.expm1(-x)
-    return value, count, remainder
+    return value, remainder
 
 
 def _fugacity_terms(

@@ -4,7 +4,9 @@ Every truncated series in this package reports the partial value together
 with a mathematically valid bound on what was dropped.  ``converged``
 means the bound met the policy, never that terms "looked small".
 
-``certified_sum`` is the only adaptive loop in the package.  Each series
+``TruncationPolicy.first_satisfied`` is the one statement of the stopping
+rule, a plain loop over ``(value, tail)`` pairs; ``satisfied`` tests one pair
+with it.  ``certified_sum`` is the only adaptive loop in the package.  Each series
 supplies it an endless source of blocks of steps; a step is a
 ``(term, count, tail)`` triple: ``term`` is the step's contribution,
 ``count`` the number of series terms it covers, and ``tail`` must bound
@@ -17,7 +19,6 @@ a ladder cuts the block that holds its closing level short.
 from __future__ import annotations
 
 import itertools
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -51,16 +52,15 @@ class TruncationPolicy:
     def first_satisfied(self, values: Iterable[float], tail_bounds: Iterable[float]) -> int | None:
         """Index of the first pair with ``tail <= max(rel_tol * |value|, abs_tol)``, or ``None``.
 
-        The one home of the stopping rule, mapped over both sequences at C
-        speed; pairs run out with the shorter sequence.
+        The one home of the stopping rule; pairs run out with the shorter
+        sequence.  A NaN value or tail never satisfies it.
         """
-        thresholds = map(
-            max,
-            map(operator.mul, itertools.repeat(self.rel_tol), map(abs, values)),
-            itertools.repeat(self.abs_tol),
-        )
-        met = map(operator.le, tail_bounds, thresholds)
-        return next(itertools.compress(itertools.count(), met), None)
+        rel_tol, abs_tol = self.rel_tol, self.abs_tol
+        for index, (value, tail) in enumerate(zip(values, tail_bounds)):
+            scaled = rel_tol * abs(value)
+            if tail <= (abs_tol if abs_tol > scaled else scaled):
+                return index
+        return None
 
 
 @dataclass(frozen=True)

@@ -636,9 +636,9 @@ def closings_seen(monkeypatch, call):
     """``(x, y)`` of every ``ladder_closing`` call made in ``call()``, in call order."""
     seen = []
 
-    def recorded(x, w, slope, y, kind, rel_tol, _close=stats.ladder_closing):
+    def recorded(x, w, slope, y, kind, count, _close=stats.ladder_closing):
         seen.append((x, y))
-        return _close(x, w, slope, y, kind, rel_tol)
+        return _close(x, w, slope, y, kind, count)
 
     monkeypatch.setattr(stats, "ladder_closing", recorded)
     call()
@@ -672,3 +672,20 @@ def test_every_ladder_closes_at_its_first_level_past_closing_start(monkeypatch, 
 
             first = next(q for q in itertools.count() if level(q) >= x_c)
             assert x == level(first), (name, k, x, first)
+
+
+@pytest.mark.parametrize("kind", [BOSE, FERMI])
+@pytest.mark.parametrize("weight", sorted(WEIGHTS))
+def test_each_closing_works_out_its_depth_once(monkeypatch, kind, weight):
+    # The walker's fit test and the closing share one closing_terms call.
+    depths = []
+
+    def recorded(x, rel_tol, _terms=stats.closing_terms):
+        depths.append(x)
+        return _terms(x, rel_tol)
+
+    monkeypatch.setattr(stats, "closing_terms", recorded)
+    t = Thermo(0.01, 0.0)
+    seen = closings_seen(monkeypatch, lambda: shells(t, RG, kind, weight, TruncationPolicy()))
+    assert len(seen) > 5
+    assert depths == [x for x, _ in seen]

@@ -29,7 +29,7 @@ from openosc import (
     verify_series_estimates,
 )
 from openosc.series import _columns_after
-from openosc.stats import ladder_closing
+from openosc.stats import closing_terms, ladder_closing
 from openosc.summation import certified_sum, geom_tails2
 
 RG = GasParams.reduced()
@@ -410,8 +410,8 @@ def test_closing_remainder_covers_the_dropped_fugacity_terms(beta, kind, mu, wei
         if x >= _X_STOP / 2:
             break
         w = alpha * energy + gamma
-        rel_tol = TruncationPolicy().rel_tol
-        value, count, remainder = ladder_closing(x, w, alpha, beta, kind, rel_tol)
+        count = closing_terms(x, TruncationPolicy().rel_tol)
+        value, remainder = ladder_closing(x, w, alpha, beta, kind, count)
         with decimal.localcontext() as ctx:
             ctx.prec = 80
             d = decimal.Decimal
@@ -560,6 +560,13 @@ def test_truncation_policy_first_satisfied_is_the_same_rule():
             assert (met == 0) is rule, (policy, value, tail)
             assert policy.satisfied(value, tail) is rule, (policy, value, tail)
             assert met in (0, None)
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300]
+    tails = [0.0, 1e-15, math.inf, math.nan]
+    for policy in (TruncationPolicy(abs_tol=0.0), TruncationPolicy(abs_tol=1e-14)):
+        for value, tail in itertools.product(values, tails):
+            rule = tail <= max(policy.rel_tol * abs(value), policy.abs_tol)
+            assert (policy.first_satisfied([value], [tail]) == 0) is rule, (policy, value, tail)
+            assert policy.satisfied(value, tail) is rule, (policy, value, tail)
     policy = TruncationPolicy(rel_tol=1e-3, abs_tol=1e-6)
     assert policy.first_satisfied([10.0, 10.0, 0.0, 10.0], [0.011, math.nan, 1e-7, 0.0]) == 2
     assert policy.first_satisfied([10.0, math.nan], [0.011, 0.0]) is None

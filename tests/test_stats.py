@@ -324,8 +324,8 @@ def test_closing_below_unit_exponent_against_a_decimal_ladder(kind, x, y, weight
     # adds the terms that keeps the remainder below 2**-64 of the value.
     w, slope = weight
     rel_tol = TruncationPolicy().rel_tol
-    value, count, remainder = ladder_closing(x, w, slope, y, kind, rel_tol)
-    assert count == closing_terms(x, rel_tol)
+    count = closing_terms(x, rel_tol)
+    value, remainder = ladder_closing(x, w, slope, y, kind, count)
     # the proof's bound exp(-J*x)/(1 - exp(-x)) on remainder/value is below 2**-65
     assert count * x >= 65 * math.log(2.0) - math.log(-math.expm1(-x))
     assert remainder <= 2.0**-64 * abs(value)
