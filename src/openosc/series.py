@@ -218,8 +218,10 @@ def _columns_after(
     with ``A0 = (alpha*E_K + |gamma|)/(1 - z) + alpha*hbar*omega*z/(1 - z)^2``,
     ``A1 = alpha*a/(1 - z)`` and ``T_p = sum_i i^p r^i`` in closed form
     (``1/(1-r)``, ``r/(1-r)^2``, ``r(1+r)/(1-r)^3``).  ``X`` is lowered by
-    ``2**-48 * (|X| + 2*beta*E_K + 1)``, more than its own rounding error
-    and that of the other factors.
+    ``2**-48 * (|X| + 2*beta*E_K)``, more than its own rounding error, and
+    the bound is raised by ``2**-48`` of itself, more than the rounding of
+    the other factors; an absolute allowance on ``X`` would exceed a tiny
+    ``X`` itself.
     """
     b = g.osc.quantum
     a = g.translational_prefactor
@@ -228,7 +230,7 @@ def _columns_after(
     edge = a * big * big + 0.5 * b
     x = beta * (edge - t.mu)
     if x < math.inf:
-        x -= 2.0**-48 * (abs(x) + 2.0 * beta * edge + 1.0)
+        x -= 2.0**-48 * (abs(x) + 2.0 * beta * edge)
     step = beta * a * (2 * big + 1)
     om_r = -math.expm1(-step)
     if not om_r > 0.0 or (kind is StatisticsKind.BOSE and not x > 0.0):
@@ -238,7 +240,7 @@ def _columns_after(
     c = 1.0 if kind is StatisticsKind.FERMI else 1.0 / -math.expm1(-x)
     a0 = (alpha * edge + abs(gamma)) / om + alpha * b * math.exp(-beta * b) / om / om
     columns = a0 / om_r + alpha * a / om * r * (2 * big + (1.0 + r) / om_r) / om_r / om_r
-    return 2.0 * c * _safe_exp(-x) * columns
+    return 2.0 * c * _safe_exp(-x) * columns * (1.0 + 2.0**-48)
 
 
 def equilibrium_effective_energy(
