@@ -336,9 +336,14 @@ def ladder_closing(
     ``-expm1(-j*y)``.  For ``w, slope >= 0`` the bracket falls with ``j``,
     so ``T_{j+1} <= exp(-x) T_j`` and the dropped terms add up to at most
     ``T_{J+1}/(1 - exp(-x))`` (bosons: positive, geometric) or ``T_{J+1}``
-    (fermions: alternating); that remainder, rounded up by ``2**-48``, is
-    returned.  The value is at least ``T_1`` (bosons) or
-    ``T_1 - T_2 >= (1 - exp(-x)) T_1`` (fermions), so for both
+    (fermions: alternating).  That remainder, ``exp(-(J+1)*x) * F``, is
+    returned raised by ``2**-52 * ((J+1)*x + 16)`` of itself and by ``F + 4``
+    units of the least subnormal.  The first covers the rounding of the
+    exponent, up to ``(J+1)*x * 2**-53`` (more than ``2**-48``, since every
+    closing has ``J*x >= 46``), and of the other factors; the second covers
+    the absolute rounding of a remainder that is subnormal or underflows.
+    The value is at least ``T_1`` (bosons) or ``T_1 - T_2 >= (1 - exp(-x)) T_1``
+    (fermions), so for both, in exact arithmetic,
 
         remainder / value <= exp(-J*x) / (1 - exp(-x)) <= c/2
 
@@ -355,11 +360,12 @@ def ladder_closing(
         for j in range(1, count + 1, _MAX_BLOCK)
     )
     value = math.fsum(itertools.chain.from_iterable(pieces))
-    remainder = _fugacity_terms(count + 1, count + 2, x, w, slope, y, False)[0]
-    remainder *= 1.0 + 2.0**-48
+    j = count + 1
+    bracket = _fugacity_terms(j, j + 1, 0.0, w, slope, y, False)[0]  # F: T_j at x = 0
     if not fermi:
-        remainder /= -math.expm1(-x)
-    return value, remainder
+        bracket /= -math.expm1(-x)
+    remainder = math.exp(-j * x) * bracket * (1.0 + 2.0**-52 * (j * x + 16.0))
+    return value, remainder + (bracket + 4.0) * 2.0**-1074
 
 
 def _fugacity_terms(

@@ -8,6 +8,7 @@ sums with hand-bounded remainders for ladder means.
 
 import decimal
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -346,6 +347,51 @@ def test_ladder_closing_meets_the_tightest_relative_tolerance(kind):
     assert result.converged
     assert result.terms_used < 20_000
     assert result.tail_bound <= 1e-300 * result.value
+
+
+def decimal_dropped_terms(x, w, slope, y, kind, count, digits=60):
+    """``|sum_{j > count} s^(j+1) T_j|`` of ``ladder_closing``, in ``digits``-digit decimal.
+
+    The terms fall by at least ``exp(-x)`` each; the sum stops once one is
+    below ``10**-(digits + 2)`` of the first.
+    """
+    sign = 1 if kind is BOSE else -1
+    d = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        ex, ey = (-d(x)).exp(), (-d(y)).exp()
+        j = count + 1
+        e, z = ex**j, ey**j
+        total, first = d(0), None
+        while True:
+            t = e * (d(w) / (1 - z) + d(slope) * z / (1 - z) ** 2)
+            first = t if first is None else first
+            total += sign ** (j + 1) * t
+            if t <= first.scaleb(-digits - 2):
+                return abs(total)
+            j, e, z = j + 1, e * ex, z * ey
+
+
+def test_closing_remainder_covers_its_rounding_and_underflow():
+    # Every closing has J*x >= 46, so the rounding of the exponent -(J+1)*x
+    # alone moves exp by more than 2**-48; past x ~ 350 the remainder is
+    # subnormal or underflows to 0.  Neither may take it below the exact tail.
+    rel_tol = TruncationPolicy().rel_tol
+    t = Thermo(3.2208312593304522, -9.765221828861328)
+    x = t.beta * (0.5 - t.mu)  # this ladder mean closes at its ground level
+    exact = decimal_dropped_terms(x, 1.0, 0.0, t.beta, BOSE, closing_terms(x, rel_tol))
+    assert decimal.Decimal(mean_particle_number(t, REDUCED, BOSE).tail_bound) >= exact
+    rng = random.Random(2026)
+    for _ in range(600):
+        x = math.exp(rng.uniform(math.log(0.05), math.log(900.0)))
+        y = math.exp(rng.uniform(math.log(1e-3), math.log(10.0)))
+        w = math.exp(rng.uniform(math.log(0.5), math.log(1e3)))
+        slope = rng.choice([0.0, rng.uniform(0.0, 10.0)])
+        kind = rng.choice([BOSE, FERMI])
+        count = closing_terms(x, rel_tol)
+        remainder = ladder_closing(x, w, slope, y, kind, count)[1]
+        exact = decimal_dropped_terms(x, w, slope, y, kind, count)
+        assert decimal.Decimal(remainder) >= exact, (x, w, slope, y, kind)
 
 
 def test_ladder_at_an_underflowing_level_spacing_reports_the_cap():
