@@ -219,9 +219,7 @@ def _columns_after(
     ``A1 = alpha*a/(1 - z)`` and ``T_p = sum_i i^p r^i`` in closed form
     (``1/(1-r)``, ``r/(1-r)^2``, ``r(1+r)/(1-r)^3``).  ``X`` is lowered by
     ``2**-48 * (|X| + 2*beta*E_K)``, more than its own rounding error, and
-    the bound is raised by ``2**-48`` of itself, more than the rounding of
-    the other factors; an absolute allowance on ``X`` would exceed a tiny
-    ``X`` itself.
+    the bound raised by ``2**-48`` of itself, more than the other factors'.
     """
     b = g.osc.quantum
     a = g.translational_prefactor

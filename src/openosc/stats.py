@@ -336,23 +336,19 @@ def ladder_closing(
     ``-expm1(-j*y)``.  For ``w, slope >= 0`` the bracket falls with ``j``,
     so ``T_{j+1} <= exp(-x) T_j`` and the dropped terms add up to at most
     ``T_{J+1}/(1 - exp(-x))`` (bosons: positive, geometric) or ``T_{J+1}``
-    (fermions: alternating).  That remainder, ``exp(-(J+1)*x) * F``, is
-    returned raised by ``2**-52 * ((J+1)*x + 16)`` of itself and by ``F + 4``
-    units of the least subnormal.  The first covers the rounding of the
-    exponent, up to ``(J+1)*x * 2**-53`` (more than ``2**-48``, since every
-    closing has ``J*x >= 46``), and of the other factors; the second covers
-    the absolute rounding of a remainder that is subnormal or underflows.
-    The value is at least ``T_1`` (bosons) or ``T_1 - T_2 >= (1 - exp(-x)) T_1``
-    (fermions), so for both, in exact arithmetic,
+    (fermions: alternating).  That remainder ``exp(-(J+1)*x) * F`` is raised
+    by ``2**-52 * ((J+1)*x + 16)`` of itself, for the rounding of the exponent
+    (over ``2**-48``: ``J*x >= 46``) and of ``F``, and by ``F + 4`` least
+    subnormals, for one that underflows.  The value is at least ``T_1``
+    (bosons) or ``T_1 - T_2 >= (1 - exp(-x)) T_1`` (fermions), so for both
 
         remainder / value <= exp(-J*x) / (1 - exp(-x)) <= c/2
 
-    once ``J*x >= log(2/c) - log(1 - exp(-x))``, the rule by which the
-    caller's ``closing_terms(x, rel_tol)`` picks ``J``: below ``2**-64`` of
-    the value, or ``rel_tol`` if smaller, with a factor 2 to spare for
-    rounding.  Below ``x = 1`` that takes ~``log(1/(1 - exp(-x)))/x`` terms
-    more than ``46/x``; from ``x = 1`` up, at ``rel_tol >= 2**-64``,
-    ``J = ceil(46/x)``.
+    once ``J*x >= log(2/c) - log(1 - exp(-x))``, the rule of
+    ``closing_terms``: below ``2**-64`` of the value, or ``rel_tol`` if
+    smaller, with a factor 2 to spare for rounding.  Below ``x = 1`` that
+    takes ~``log(1/(1 - exp(-x)))/x`` terms more than ``46/x``; from
+    ``x = 1`` up, at ``rel_tol >= 2**-64``, ``J = ceil(46/x)``.
     """
     fermi = kind is StatisticsKind.FERMI
     pieces = (
@@ -361,11 +357,10 @@ def ladder_closing(
     )
     value = math.fsum(itertools.chain.from_iterable(pieces))
     j = count + 1
-    bracket = _fugacity_terms(j, j + 1, 0.0, w, slope, y, False)[0]  # F: T_j at x = 0
-    if not fermi:
-        bracket /= -math.expm1(-x)
-    remainder = math.exp(-j * x) * bracket * (1.0 + 2.0**-52 * (j * x + 16.0))
-    return value, remainder + (bracket + 4.0) * 2.0**-1074
+    f = _fugacity_terms(j, j + 1, 0.0, w, slope, y, False)[0]  # T_j at x = 0
+    f /= 1.0 if fermi else -math.expm1(-x)
+    remainder = math.exp(-j * x) * f * (1.0 + 2.0**-52 * (j * x + 16.0))
+    return value, remainder + (f + 4.0) * 2.0**-1074
 
 
 def _fugacity_terms(

@@ -2,11 +2,10 @@
 
 Every truncated series in this package reports the partial value together
 with a mathematically valid bound on what was dropped.  ``converged``
-means the bound met the policy, never that terms "looked small".
+means the bound met the policy's rule, stated once in the plain loop of
+``TruncationPolicy.first_satisfied``, never that terms "looked small".
 
-``TruncationPolicy.first_satisfied`` is the one statement of the stopping
-rule, a plain loop over ``(value, tail)`` pairs; ``satisfied`` tests one pair
-with it.  ``certified_sum`` is the only adaptive loop in the package.  Each series
+``certified_sum`` is the only adaptive loop in the package.  Each series
 supplies it an endless source of blocks of steps; a step is a
 ``(term, count, tail)`` triple: ``term`` is the step's contribution,
 ``count`` the number of series terms it covers, and ``tail`` must bound
