@@ -102,12 +102,14 @@ def enumerate_configurations(
         yield Configuration(counts)
 
 
-# Largest number of consecutive configurations whose exponents the walk
-# holds at once.
+# Most configurations whose weights the oracle holds at once.  A block is one
+# head configuration with every tail configuration, or with one slice of
+# ``_BLOCK`` counts of a last mode that alone has more.
 _BLOCK = 256
 
 _Table = list[list[float]]
 _Counts = tuple[int, ...]
+_Slices = list[tuple[int, _Table]]
 
 
 def _exponent_table(modes: ModeSet, mu: float, limit: int, scale: float) -> _Table:
@@ -134,16 +136,22 @@ def _expand(values: list[float], rows: _Table) -> list[float]:
     return values
 
 
-def _walk(table: _Table) -> Iterator[tuple[_Counts, list[_Counts], list[float]]]:
-    """Every configuration's exponent, in lexicographic order, one block at a time.
+def _split(table: _Table) -> tuple[Iterator[tuple[_Counts, float]], _Slices, list[_Counts]]:
+    """Split the modes into a head and a tail, for a walk in blocks.
 
     The trailing modes that span at most ``_BLOCK`` configurations (at
     least the last mode) form the tail; the leading modes form the head.
-    Yields ``(head, tails, values)`` where ``values[p]`` is the exponent of
-    configuration ``head + tails[p]``: ``0.0`` plus the table entries of
-    its counts, added left to right.  ``tails`` is one shared list unless
-    the last mode alone has more than ``_BLOCK`` counts; its row is then
-    walked in slices of ``_BLOCK``.
+    Returns ``(heads, slices, tails)``:
+
+    - ``heads`` yields each head configuration's counts, in lexicographic
+      order, with its exponent sum ``((0.0 + x_0) + x_1) + ...``, where
+      ``x_i`` is mode ``i``'s table entry;
+    - ``slices`` lists ``(a, rows)``: the tail's rows once, with ``a = 0``,
+      unless the last mode alone has more than ``_BLOCK`` counts; its row is
+      then cut into slices of ``_BLOCK`` that start at count ``a``;
+    - ``tails`` lists the tail's counts in lexicographic order, the last
+      one counted from ``a``; a block's ``p``-th configuration has
+      ``tails[p]``.
     """
     k = len(table) - 1
     size = len(table[k])
@@ -151,18 +159,17 @@ def _walk(table: _Table) -> Iterator[tuple[_Counts, list[_Counts], list[float]]]
         k -= 1
         size *= len(table[k])
     head_rows, tail_rows = table[:k], table[k:]
-    heads = itertools.product(*(range(len(row)) for row in head_rows))
-    prefixes = _expand([0.0], head_rows)
+    heads = zip(
+        itertools.product(*(range(len(row)) for row in head_rows)),
+        _expand([0.0], head_rows),
+    )
     if size <= _BLOCK:
-        tails = list(itertools.product(*(range(len(row)) for row in tail_rows)))
-        for head, v in zip(heads, prefixes):
-            yield head, tails, _expand([v], tail_rows)
-        return
-    (row,) = tail_rows
-    for head, v in zip(heads, prefixes):
-        for a in range(0, size, _BLOCK):
-            part = row[a:a + _BLOCK]
-            yield head, [(n,) for n in range(a, a + len(part))], [v + s for s in part]
+        slices = [(0, tail_rows)]
+    else:
+        (row,) = tail_rows
+        slices = [(a, [row[a:a + _BLOCK]]) for a in range(0, size, _BLOCK)]
+    tails = list(itertools.product(*(range(min(len(row), _BLOCK)) for row in tail_rows)))
+    return heads, slices, tails
 
 
 def _fold(total: float, terms: Iterable[float]) -> float:
@@ -170,17 +177,6 @@ def _fold(total: float, terms: Iterable[float]) -> float:
     for x in terms:
         total += x
     return total
-
-
-def _columns(tails: list[_Counts], first: int) -> list[tuple[int, list[bool], list[int] | None]]:
-    """Per trailing mode: its index, the block positions it occupies and its
-    counts there, or ``None`` when every one of them is 1."""
-    columns = []
-    for j, col in enumerate(zip(*tails), first):
-        counts = [n for n in col if n]
-        ones = all(n == 1 for n in counts)
-        columns.append((j, [n != 0 for n in col], None if ones else counts))
-    return columns
 
 
 def gc_average_occupation(
@@ -197,14 +193,26 @@ def gc_average_occupation(
     ``cutoff`` leaves an error on the scale of the neglected geometric
     tail.
 
-    Summation order: configurations are visited in lexicographic order of
-    their counts ``(n_0, n_1, ...)``.  A configuration's exponent sum is
-    ``((0.0 + x_0) + x_1) + ...`` with ``x_i = (e_i - mu)*n_i``, one plain
-    float add per mode from the first mode to the last; its weight is
-    ``exp(-beta*sum - a_max)``.  The normalisation and each mode's sum of
-    ``n_i * weight`` (over configurations with ``n_i > 0``) are plain float
-    adds in that same configuration order, so the result does not depend
-    on how the walk is blocked.
+    Summation order: the modes split into leading head modes and trailing
+    tail modes that span at most ``_BLOCK`` configurations (at least the
+    last mode).  With ``x_i = (e_i - mu)*n_i``, a head configuration's
+    offset is ``c = -beta*v_head - a_max`` and a tail configuration's
+    exponent ``-beta*v_tail``, where each ``v`` is ``((0.0 + x_i) + ...)``
+    over its modes, added from the first to the last.  A configuration's
+    weight is ``exp(c + -beta*v_tail)``: one ``exp`` per configuration.
+    A block is one head configuration with every tail configuration, and
+    blocks are visited in lexicographic order of the head's counts.  Its
+    weights are added by ``math.fsum`` into the block total; the
+    normalisation adds up the totals, and each occupied head mode
+    ``n_i * total``, in block order.  The weights are also added,
+    position by position, into one column of at most ``_BLOCK`` running
+    sums, and each tail mode's sum is ``math.fsum`` of ``n_j`` times that
+    column.  A last mode of more than ``_BLOCK`` counts is walked in
+    slices of ``_BLOCK``: the slice that starts at count ``a`` adds
+    ``a * total`` to that mode, like a head count, and its counts within
+    the slice go through the column.  So a space of at most ``_BLOCK``
+    configurations gets ``fsum(n_i * w) / fsum(w)`` exactly, and a larger
+    one adds one rounding per block to each sum.
 
     Raises
     ------
@@ -232,21 +240,27 @@ def gc_average_occupation(
     a_max = nb * _fold(0.0, (min(0.0, row[-1]) for row in table))
     if not math.isfinite(a_max):
         raise DomainError(f"largest weight exponent overflows: {a_max!r}")
-    exp = math.exp
+    heads, slices, tails = _split(table)
+    parts = [(a, [nb * v for v in _expand([0.0], rows)]) for a, rows in slices]
+    exp, fsum, last = math.exp, math.fsum, len(table) - 1
     norm = 0.0
     sums = [0.0] * len(table)
-    columns_of = None
-    for head, tails, values in _walk(table):
-        if tails is not columns_of:
-            columns_of, columns = tails, _columns(tails, len(head))
-        ws = [exp(nb * v - a_max) for v in values]
-        norm = _fold(norm, ws)
-        for i, n in enumerate(head):
-            if n:
-                sums[i] = _fold(sums[i], ws if n == 1 else [n * w for w in ws])
-        for j, mask, counts in columns:
-            terms = itertools.compress(ws, mask)
-            sums[j] = _fold(sums[j], terms if counts is None else map(operator.mul, counts, terms))
+    column = [0.0] * len(tails)
+    for head, v in heads:
+        c = nb * v - a_max
+        for a, u in parts:
+            ws = [exp(c + s) for s in u]
+            total = fsum(ws)
+            norm += total
+            # Slice assignment keeps the column's end past a short last slice.
+            column[:len(ws)] = map(operator.add, column, ws)
+            for i, n in enumerate(head):
+                if n:
+                    sums[i] += n * total
+            if a:
+                sums[last] += a * total
+    for j, counts in enumerate(zip(*tails), last + 1 - len(tails[0])):
+        sums[j] += fsum(map(operator.mul, counts, column))
     return tuple(s / norm for s in sums)
 
 
@@ -269,9 +283,11 @@ def ground_state_search(
 
     For bosons a single mode with ``e_i - mu < 0`` already makes the
     spectrum unbounded below (piling particles on it lowers the energy
-    without limit), so that is reported before any enumeration.  Energies
-    are summed in the order ``gc_average_occupation`` states, and the
-    returned configuration is the first minimiser in lexicographic order.
+    without limit), so that is reported before any enumeration.  A
+    configuration's energy is ``((0.0 + x_0) + x_1) + ...`` with
+    ``x_i = (e_i - mu)*n_i``, one plain float add per mode from the first
+    mode to the last, and the returned configuration is the first
+    minimiser in lexicographic order of the counts ``(n_0, n_1, ...)``.
 
     Raises
     ------
@@ -283,9 +299,14 @@ def ground_state_search(
     if kind is StatisticsKind.BOSE and any(e - mu < 0.0 for e in modes.energies):
         return GroundStateResult(False, None, None)
     limit = _checked_limit(kind, cutoff, len(modes))
+    heads, slices, tails = _split(_exponent_table(modes, mu, limit, 1.0))
     best: float | None = None
-    for head, tails, values in _walk(_exponent_table(modes, mu, limit, 1.0)):
-        low = min(values)
-        if best is None or low < best:
-            best, counts = low, head + tails[values.index(low)]
-    return GroundStateResult(True, best, Configuration(counts))
+    for head, v in heads:
+        for a, rows in slices:
+            values = _expand([v], rows)
+            low = min(values)
+            if best is None or low < best:
+                best, at = low, (head, a, values.index(low))
+    head, a, p = at
+    *tail, n = tails[p]
+    return GroundStateResult(True, best, Configuration((*head, *tail, a + n)))

@@ -4,11 +4,13 @@ The closed forms under test are the elementary single-level results
 n = 1/(e^x + 1) and n = x-geometric means, evaluated directly here so the
 enumeration has an external standard to meet.
 
-The reference bodies below are ``gc_average_occupation`` and
-``ground_state_search`` as first written: one ``Configuration`` per
-enumerated state and an O(modes) exponent sum each.  The package walks the
-exponents in blocks instead; the equivalence tests pin that the returned
-values are exactly the same.
+The reference weights and ground-state search below are the package's as
+first written: one ``Configuration`` per enumerated state and an O(modes)
+exponent sum each.  The package walks the exponents in blocks instead.  The
+equivalence tests pin that the ground state is exactly the same, that a
+space of one block gets exactly ``fsum(n_i*w)/fsum(w)`` over the reference
+weights, and that a larger space stays within a rounding bound derived from
+its block count and the association of its exponents.
 """
 
 import math
@@ -53,7 +55,10 @@ def _plain_sum(terms):
     return total
 
 
-def reference_gc_average_occupation(modes, t, kind, cutoff=1):
+def reference_weights(modes, t, kind, cutoff=1):
+    """``(counts, sum_i |x_i|, w)`` per configuration, ``x_i = (e_i - mu)*n_i``,
+    and the largest exponent ``a_max``; ``w`` is ``exp(a - a_max)`` with the
+    exponent ``a = -beta*x`` added left to right."""
     if kind is BOSE:
         bad = [i for i, e in enumerate(modes.energies) if not e - t.mu > 0.0]
         if bad:
@@ -62,18 +67,22 @@ def reference_gc_average_occupation(modes, t, kind, cutoff=1):
     a_max = -t.beta * _plain_sum(
         min(0.0, (e - t.mu) * limit) for e in modes.energies
     )
-    norm = 0.0
-    sums = [0.0] * len(modes)
+    weights = []
     for cfg in enumerate_configurations(modes, kind, cutoff):
-        a = -t.beta * _plain_sum(
-            (e - t.mu) * n for e, n in zip(modes.energies, cfg.counts)
-        )
-        w = math.exp(a - a_max)
-        norm += w
-        for i, n in enumerate(cfg.counts):
-            if n:
-                sums[i] += n * w
-    return tuple(s / norm for s in sums)
+        xs = [(e - t.mu) * n for e, n in zip(modes.energies, cfg.counts)]
+        a = -t.beta * _plain_sum(xs)
+        weights.append((cfg.counts, math.fsum(map(abs, xs)), math.exp(a - a_max)))
+    return weights, a_max
+
+
+def reference_gc_average_occupation(modes, t, kind, cutoff=1):
+    """``fsum(n_i*w) / fsum(w)`` over the reference weights."""
+    weights, _ = reference_weights(modes, t, kind, cutoff)
+    norm = math.fsum(w for _, _, w in weights)
+    return tuple(
+        math.fsum(counts[i] * w for counts, _, w in weights) / norm
+        for i in range(len(modes))
+    )
 
 
 def reference_ground_state_search(modes, mu, kind, cutoff=1):
@@ -333,10 +342,82 @@ def oracle_cases(draw):
     return es, kind, cutoff, draw(betas), mu
 
 
+U = 2.0 ** -53
+
+
+def _gamma(n):
+    return n * U / (1.0 - n * U)
+
+
+def _block_count(sizes):
+    """Blocks of the oracle's walk over modes with ``sizes`` counts each: the
+    trailing modes that span at most ``_BLOCK`` configurations (at least the
+    last mode) are the tail, and a longer last mode is cut into slices."""
+    k, tail = len(sizes) - 1, sizes[-1]
+    while k and tail * sizes[k - 1] <= _BLOCK:
+        k -= 1
+        tail *= sizes[k]
+    return math.prod(sizes[:k]) * -(-tail // _BLOCK)
+
+
+def _rounding_bound(weights, a_max, i, m, beta, blocks):
+    """Largest ``|mean - target|`` for mode ``i`` of ``m`` modes, where
+    ``target = fl(fsum(n_i*w) / fsum(w))`` over the reference weights.
+
+    Exponents.  Both sides add the same table entries ``x_i``; only the
+    association differs.  The reference rounds ``m - 1`` adds of
+    ``sum x_i``, the product by ``-beta`` and the subtraction of ``a_max``;
+    the oracle rounds ``k - 1`` head adds and ``m - k - 1`` tail adds, two
+    products, the subtraction and one more add.  With ``|fl(z) - z| <=
+    U*|z|`` each side lies within ``gamma(m + 3) * E`` of the exact exponent,
+    ``E = beta * sum_i |x_i| + |a_max|``, so the two exponents differ by at
+    most ``d = 2 * gamma(m + 3) * E``.  ``exp`` errs by at most one ulp
+    (``2*U`` relative), so the weights differ by a factor within
+    ``eps = exp(d) * (1 + 2U) / (1 - 2U) - 1``, plus a few least subnormals
+    once they underflow.  The numerator and the normalisation take those
+    factors weighted by ``n_i * w`` and ``w``.
+
+    Sums.  All terms are positive.  Each block's ``fsum`` rounds once; the
+    normalisation then adds ``blocks`` totals, a head mode ``blocks``
+    products ``n * total``, a column entry one weight per block before its
+    product and ``fsum``; a sliced last mode adds ``a * total`` per slice
+    and the ``fsum`` of its column.  So the oracle's numerator is within
+    ``gamma(blocks + 2)`` and its normalisation within ``gamma(blocks)``;
+    the target's numerator (products and ``fsum``) within ``gamma(2)``, its
+    normalisation within ``U``.  Each division rounds once more.
+    """
+    num = math.fsum(c[i] * w for c, _, w in weights)
+    den = math.fsum(w for _, _, w in weights)
+
+    def eps(s):
+        d = 2.0 * _gamma(m + 3) * (beta * s + abs(a_max))
+        return math.exp(d) * (1.0 + 2.0 * U) / (1.0 - 2.0 * U) - 1.0
+
+    eps_num = math.fsum(c[i] * w * eps(s) for c, s, w in weights) / num if num else 0.0
+    eps_den = math.fsum(w * eps(s) for _, s, w in weights) / den
+    up = (1.0 + eps_num) * (1.0 + _gamma(blocks + 2)) * (1.0 + U) ** 2
+    down = (1.0 - eps_den) * (1.0 - _gamma(blocks)) * (1.0 - _gamma(2)) * (1.0 - U)
+    rel = up / down - 1.0
+    target = num / den
+    # Subnormal weights and products round by absolute steps, not relatively.
+    tiny = len(weights) * (max(map(max, (c for c, _, _ in weights))) + 2) * 2.0 ** -1070
+    return rel * target + tiny
+
+
 def _check_same_as_reference(es, kind, cutoff, beta, mu):
     modes = ModeSet(tuple(es))
-    means = gc_average_occupation(modes, Thermo(beta, mu), kind, cutoff)
-    assert means == reference_gc_average_occupation(modes, Thermo(beta, mu), kind, cutoff)
+    t = Thermo(beta, mu)
+    means = gc_average_occupation(modes, t, kind, cutoff)
+    target = reference_gc_average_occupation(modes, t, kind, cutoff)
+    sizes = [per_mode_limit(kind, cutoff) + 1] * len(es)
+    blocks = _block_count(sizes)
+    if blocks == 1:
+        assert means == target
+    else:
+        weights, a_max = reference_weights(modes, t, kind, cutoff)
+        for i, (mean, ref) in enumerate(zip(means, target)):
+            bound = _rounding_bound(weights, a_max, i, len(es), beta, blocks)
+            assert abs(mean - ref) <= bound, (i, mean, ref, bound)
     result = ground_state_search(modes, mu, kind, cutoff)
     energy, counts = reference_ground_state_search(modes, mu, kind, cutoff)
     assert result.energy == energy
@@ -349,8 +430,9 @@ def _check_same_as_reference(es, kind, cutoff, beta, mu):
 @example(([q + 0.5 for q in range(_BOSE_EDGE)], BOSE, 3, 0.7, 0.5 - 1e-9))
 @example(([q + 0.5 for q in range(_BOSE_EDGE + 1)], BOSE, 3, 0.7, 0.5 - 1e-9))
 @example(([-3.0, 0.25, -0.5, 4.0, 1.0, -2.0, 0.0, 2.5, -1.5], FERMI, 1, 50.0, 0.0))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 def test_walk_matches_reference_bit_for_bit(case):
+    # Bit for bit: the ground state, and the means of a space of one block.
     _check_same_as_reference(*case)
 
 
@@ -358,3 +440,20 @@ def test_walk_matches_reference_bit_for_bit(case):
 def test_walk_slices_a_long_last_mode_bit_for_bit(n, cutoff):
     # A mode with more counts than one block holds is walked in slices.
     _check_same_as_reference([0.02 * (q + 1) for q in range(n)], BOSE, cutoff, 0.9, 0.01)
+
+
+@pytest.mark.parametrize("es, kind, cutoff", [
+    ([0.5, 1.5, 2.5], FERMI, 1),
+    ([q + 0.5 for q in range(_FERMI_EDGE + 3)], FERMI, 1),
+    ([q + 0.5 for q in range(_BOSE_EDGE + 1)], BOSE, 3),
+    ([0.02, 0.04], BOSE, _BLOCK + 3),
+], ids=["one-block", "fermi-heads", "bose-heads", "sliced"])
+def test_each_configuration_costs_one_exponential(monkeypatch, es, kind, cutoff):
+    # A brute-force check must weigh every configuration itself: an oracle
+    # that factorised its weights over modes would be the closed form it checks.
+    modes, t = ModeSet(tuple(es)), Thermo(0.9, 0.01)
+    calls = []
+    real = math.exp
+    monkeypatch.setattr(math, "exp", lambda x: calls.append(x) or real(x))
+    gc_average_occupation(modes, t, kind, cutoff)
+    assert len(calls) == (per_mode_limit(kind, cutoff) + 1) ** len(es)
