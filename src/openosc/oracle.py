@@ -136,16 +136,17 @@ def _expand(values: list[float], rows: _Table) -> list[float]:
     return values
 
 
-def _split(table: _Table) -> tuple[Iterator[tuple[_Counts, float]], _Slices, list[_Counts]]:
+def _split(table: _Table) -> tuple[Iterator[_Counts], list[float], _Slices, list[_Counts]]:
     """Split the modes into a head and a tail, for a walk in blocks.
 
     The trailing modes that span at most ``_BLOCK`` configurations (at
     least the last mode) form the tail; the leading modes form the head.
-    Returns ``(heads, slices, tails)``:
+    Returns ``(heads, prefixes, slices, tails)``:
 
-    - ``heads`` yields each head configuration's counts, in lexicographic
-      order, with its exponent sum ``((0.0 + x_0) + x_1) + ...``, where
-      ``x_i`` is mode ``i``'s table entry;
+    - ``heads`` yields each head configuration's counts in lexicographic
+      order, and ``prefixes`` holds their exponent sums
+      ``((0.0 + x_0) + x_1) + ...``, where ``x_i`` is mode ``i``'s table
+      entry;
     - ``slices`` lists ``(a, rows)``: the tail's rows once, with ``a = 0``,
       unless the last mode alone has more than ``_BLOCK`` counts; its row is
       then cut into slices of ``_BLOCK`` that start at count ``a``;
@@ -159,17 +160,14 @@ def _split(table: _Table) -> tuple[Iterator[tuple[_Counts, float]], _Slices, lis
         k -= 1
         size *= len(table[k])
     head_rows, tail_rows = table[:k], table[k:]
-    heads = zip(
-        itertools.product(*(range(len(row)) for row in head_rows)),
-        _expand([0.0], head_rows),
-    )
+    heads = itertools.product(*(range(len(row)) for row in head_rows))
     if size <= _BLOCK:
         slices = [(0, tail_rows)]
     else:
         (row,) = tail_rows
         slices = [(a, [row[a:a + _BLOCK]]) for a in range(0, size, _BLOCK)]
     tails = list(itertools.product(*(range(min(len(row), _BLOCK)) for row in tail_rows)))
-    return heads, slices, tails
+    return heads, _expand([0.0], head_rows), slices, tails
 
 
 def _fold(total: float, terms: Iterable[float]) -> float:
@@ -195,11 +193,13 @@ def gc_average_occupation(
 
     Summation order: the modes split into leading head modes and trailing
     tail modes that span at most ``_BLOCK`` configurations (at least the
-    last mode).  With ``x_i = (e_i - mu)*n_i``, a head configuration's
-    offset is ``c = -beta*v_head - a_max`` and a tail configuration's
-    exponent ``-beta*v_tail``, where each ``v`` is ``((0.0 + x_i) + ...)``
-    over its modes, added from the first to the last.  A configuration's
-    weight is ``exp(c + -beta*v_tail)``: one ``exp`` per configuration.
+    last mode).  With ``x_i = (e_i - mu)*n_i``, each ``v`` below is
+    ``((0.0 + x_i) + ...)`` over the modes of its half, added from the
+    first to the last.  A head configuration's offset is
+    ``c = -beta*v_head - top_head`` and a tail configuration's exponent
+    ``d = -beta*v_tail - top_tail``, where ``top`` is the half's largest
+    ``-beta*v``, so that the largest weight is exactly 1.  A
+    configuration's weight is ``exp(c + d)``: one ``exp`` per configuration.
     A block is one head configuration with every tail configuration, and
     blocks are visited in lexicographic order of the head's counts.  Its
     weights are added by ``math.fsum`` into the block total; the
@@ -235,19 +235,24 @@ def gc_average_occupation(
     limit = _checked_limit(kind, cutoff, len(modes))
     table = _exponent_table(modes, t.mu, limit, t.beta)
     # The weight exponent -beta*sum_i (e_i - mu)*n_i is maximised mode by
-    # mode, so the offset needs no enumeration pass of its own.
+    # mode, so its overflow is refused before any enumeration.
     nb = -t.beta
     a_max = nb * _fold(0.0, (min(0.0, row[-1]) for row in table))
     if not math.isfinite(a_max):
         raise DomainError(f"largest weight exponent overflows: {a_max!r}")
-    heads, slices, tails = _split(table)
+    heads, prefixes, slices, tails = _split(table)
+    # Each half loses its own largest exponent: every exponent is then at
+    # most 0 and the largest is exactly 0, however large the entries.
+    top = nb * min(prefixes)
     parts = [(a, [nb * v for v in _expand([0.0], rows)]) for a, rows in slices]
+    top_tail = max(max(u) for _, u in parts)
+    parts = [(a, [s - top_tail for s in u]) for a, u in parts]
     exp, fsum, last = math.exp, math.fsum, len(table) - 1
     norm = 0.0
     sums = [0.0] * len(table)
     column = [0.0] * len(tails)
-    for head, v in heads:
-        c = nb * v - a_max
+    for head, v in zip(heads, prefixes):
+        c = nb * v - top
         for a, u in parts:
             ws = [exp(c + s) for s in u]
             total = fsum(ws)
@@ -299,9 +304,9 @@ def ground_state_search(
     if kind is StatisticsKind.BOSE and any(e - mu < 0.0 for e in modes.energies):
         return GroundStateResult(False, None, None)
     limit = _checked_limit(kind, cutoff, len(modes))
-    heads, slices, tails = _split(_exponent_table(modes, mu, limit, 1.0))
+    heads, prefixes, slices, tails = _split(_exponent_table(modes, mu, limit, 1.0))
     best: float | None = None
-    for head, v in heads:
+    for head, v in zip(heads, prefixes):
         for a, rows in slices:
             values = _expand([v], rows)
             low = min(values)

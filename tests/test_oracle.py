@@ -235,10 +235,13 @@ def test_bose_average_rejects_mode_at_or_below_mu():
     assert "[0]" in str(err.value)
 
 
-def test_average_handles_deeply_negative_exponents():
+@pytest.mark.parametrize("q_max, scale", [(3, 1.0), (3, 1e200), (11, 1.0), (11, 1e200)])
+def test_average_handles_deeply_negative_exponents(q_max, scale):
     # mu far above every level: weights span e^{+large}; the factored
-    # offset must keep the sums finite.
-    means = gc_average_occupation(ladder(3), Thermo(10.0, 50.0), FERMI)
+    # offsets must keep the sums finite, in one block and in many, even
+    # where one rounding of an exponent is far larger than 1.
+    modes = ModeSet(tuple(scale * e for e in ladder(q_max).energies))
+    means = gc_average_occupation(modes, Thermo(10.0, 50.0 * scale), FERMI)
     assert all(n == pytest.approx(1.0, abs=1e-12) for n in means)
 
 
@@ -365,17 +368,20 @@ def _rounding_bound(weights, a_max, i, m, beta, blocks):
     ``target = fl(fsum(n_i*w) / fsum(w))`` over the reference weights.
 
     Exponents.  Both sides add the same table entries ``x_i``; only the
-    association differs.  The reference rounds ``m - 1`` adds of
-    ``sum x_i``, the product by ``-beta`` and the subtraction of ``a_max``;
-    the oracle rounds ``k - 1`` head adds and ``m - k - 1`` tail adds, two
-    products, the subtraction and one more add.  With ``|fl(z) - z| <=
-    U*|z|`` each side lies within ``gamma(m + 3) * E`` of the exact exponent,
-    ``E = beta * sum_i |x_i| + |a_max|``, so the two exponents differ by at
-    most ``d = 2 * gamma(m + 3) * E``.  ``exp`` errs by at most one ulp
-    (``2*U`` relative), so the weights differ by a factor within
-    ``eps = exp(d) * (1 + 2U) / (1 - 2U) - 1``, plus a few least subnormals
-    once they underflow.  The numerator and the normalisation take those
-    factors weighted by ``n_i * w`` and ``w``.
+    association differs.  Let ``E = beta * sum_i |x_i| + |a_max|``.  The
+    reference rounds ``m - 1`` adds of ``sum x_i``, the product by ``-beta``
+    and the subtraction of ``a_max``: with ``|fl(z) - z| <= U*|z|`` it lies
+    within ``gamma(m + 2) * E`` of the exact ``-beta*sum x_i - a_max``.  The
+    oracle rounds ``k - 1`` head adds and ``m - k - 1`` tail adds, two
+    products, two subtractions and one more add, and it subtracts the head's
+    and the tail's largest exponent, which are rounded sums of the same
+    entries as ``a_max`` and together differ from it by at most
+    ``gamma(m) * 2|a_max|``; so it lies within ``gamma(2m + 3) * E``.  The
+    two exponents then differ by at most ``d = 3 * gamma(m + 2) * E``.
+    ``exp`` errs by at most one ulp (``2*U`` relative), so the weights
+    differ by a factor within ``eps = exp(d) * (1 + 2U) / (1 - 2U) - 1``,
+    plus a few least subnormals once they underflow.  The numerator and the
+    normalisation take those factors weighted by ``n_i * w`` and ``w``.
 
     Sums.  All terms are positive.  Each block's ``fsum`` rounds once; the
     normalisation then adds ``blocks`` totals, a head mode ``blocks``
@@ -390,7 +396,7 @@ def _rounding_bound(weights, a_max, i, m, beta, blocks):
     den = math.fsum(w for _, _, w in weights)
 
     def eps(s):
-        d = 2.0 * _gamma(m + 3) * (beta * s + abs(a_max))
+        d = 3.0 * _gamma(m + 2) * (beta * s + abs(a_max))
         return math.exp(d) * (1.0 + 2.0 * U) / (1.0 - 2.0 * U) - 1.0
 
     eps_num = math.fsum(c[i] * w * eps(s) for c, s, w in weights) / num if num else 0.0
