@@ -13,6 +13,7 @@ error, 4 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -499,13 +500,22 @@ def _fmt(value: Any) -> str:
 
 
 def _render_rows(report: Report, template: str, sep: str) -> str:
-    """Each row through ``template`` (one ``%r`` per column), joined by ``sep``.
+    """Every row through ``template`` (one ``%r`` per column), joined by ``sep``.
+
+    The rows are formatted in one pass: ``template`` repeated once per row
+    and joined by ``sep`` takes the flattened cells in one ``%``, so no
+    per-row string is ever built.  That needs every row to be as wide as
+    ``columns``, with at least one column: a row of the wrong width would
+    shift cells into the next row instead of raising, and each row of a
+    zero-column report would render as the bare template.  ``run_job``
+    builds no other rows (``test_cli.py`` checks that).
 
     A runner's cells are exact ints, floats and bools.  ``%r`` spells ints
     and floats the way both formats need; bools are then respelled
     ``true``/``false``, which no numeric repr contains.
     """
-    text = sep.join([template % row for row in report.rows])
+    cells = tuple(itertools.chain.from_iterable(report.rows))
+    text = sep.join([template] * len(report.rows)) % cells
     return text.replace("True", "true").replace("False", "false")
 
 
@@ -521,6 +531,11 @@ def render_json(report: Report) -> str:
 
     Only ``columns`` and ``metadata`` go through ``json.dumps``: with
     ``indent`` set it runs its pure-Python encoder, several chunks per row.
+    The rows are formatted in one pass over their flattened cells
+    (``_render_rows``), so every row must be as wide as ``columns``, with
+    at least one column; a zero-column report with rows would write each
+    row as ``[`` and ``]`` around a blank line where ``json.dumps`` writes
+    ``[]``.
     """
     head = json.dumps(
         {"columns": list(report.columns), "metadata": report.metadata},

@@ -129,8 +129,11 @@ def test_reruns_are_byte_identical(kind, tmp_path, capsys):
     ids=sorted(cli._KINDS) + [f"sweep-{kind}" for kind in sorted(cli._KINDS)],
 )
 def test_report_rows_are_tuples_of_ints_floats_and_bools(args):
-    # The renderers write each row through one %r template of len(columns)
-    # cells and respell only bools; this is the domain they rely on.
+    # The renderers format all rows in one pass: the %r template of
+    # len(columns) cells, repeated once per row, takes the flattened cells,
+    # and only bools are respelled.  A row of the wrong width would shift
+    # cells into the next row instead of raising, so this test is the guard
+    # of the domain they rely on.
     report = run_job(parse_job(args))
     assert report.rows
     for row in report.rows:
