@@ -46,7 +46,8 @@ from .gas import GasParams
 from .spectra import check_integer, check_scale
 from .stats import StatisticsKind, Thermo, _ladder_blocks, check_bose_ground, occupation_numbers
 from .summation import (
-    Block, SeriesResult, TruncationPolicy, block_sizes, certified_sum, geom_tails2
+    _DEFAULT_POLICY, Block, SeriesResult, TruncationPolicy, block_sizes, certified_sum,
+    geom_tails2,
 )
 
 __all__ = [
@@ -101,7 +102,7 @@ def reduced_series(
         709, or a NaN ``mu``); the tail bound divides by it.
     """
     if policy is None:
-        policy = TruncationPolicy()
+        policy = _DEFAULT_POLICY
     if kind is StatisticsKind.BOSE and not mu < 0.5:
         raise ChemicalPotentialError(
             f"Bose reduced series requires mu < 1/2, got {mu!r}"
@@ -123,23 +124,34 @@ def _reduced_steps(mu: float, c: float, kind: StatisticsKind) -> Iterator[Block]
     bose = kind is StatisticsKind.BOSE
     start = 0
     for size in block_sizes():
-        shells = range(start, start + size)
+        mults, weights, energies, decays, tails = _reduced_shells(start, start + size)
         start += size
-        mults, t2s = _reduced_shells(shells.start, shells.stop)
-        occupations = occupation_numbers([r + 0.5 - mu for r in shells], kind)
-        terms = [m * r * n for m, r, n in zip(mults, shells, occupations)]
-        ds = [1.0 - math.exp(-(r + 1.0)) / c for r in shells] if bose else [1.0] * size
-        yield terms, mults, [3.0 * t2 / (c * d) for t2, d in zip(t2s, ds)]
+        occupations = occupation_numbers([e - mu for e in energies], kind)
+        terms = [w * n for w, n in zip(weights, occupations)]
+        if bose:  # the denominator's floor D = 1 - exp(-(r + 1))/C
+            yield terms, mults, [tail / (c * (1.0 - z / c)) for tail, z in zip(tails, decays)]
+        else:
+            yield terms, mults, [tail / c for tail in tails]
 
 
 @functools.lru_cache(maxsize=16)
-def _reduced_shells(start: int, stop: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Multiplicities ``2*floor(sqrt(r)) + 1`` and tails ``T_2(r + 1, exp(-1))`` of shells ``r``.
+def _reduced_shells(start: int, stop: int) -> tuple[tuple, ...]:
+    """What the shells ``start <= r < stop`` share at every ``mu``: their multiplicities
+    ``m = 2*floor(sqrt(r)) + 1``, integer weights ``m*r``, energies ``r + 1/2``, decays
+    ``exp(-(r + 1))`` and tails ``3*T_2(r + 1, exp(-1))``.
 
-    Neither depends on ``mu``, and most sums take the same first block.
+    Most sums take the same first block.  ``m*r*n``, ``(r + 1/2) - mu`` and
+    ``3*T_2/(C*D)`` group as written, so these products keep every bit.
     """
-    mults = tuple([2 * math.isqrt(r) + 1 for r in range(start, stop)])
-    return mults, tuple(geom_tails2(range(start + 1, stop + 1), math.exp(-1.0)))
+    shells = range(start, stop)
+    mults = tuple([2 * math.isqrt(r) + 1 for r in shells])
+    return (
+        mults,
+        tuple([m * r for m, r in zip(mults, shells)]),
+        tuple([r + 0.5 for r in shells]),
+        tuple([math.exp(-(r + 1.0)) for r in shells]),
+        tuple([3.0 * t2 for t2 in geom_tails2(range(start + 1, stop + 1), math.exp(-1.0))]),
+    )
 
 
 def reduced_series_bound(mu: float) -> float:
@@ -260,7 +272,7 @@ def equilibrium_effective_energy(
     remaining levels.  An infinite ``mu`` with ``mu_shifted`` raises ``DomainError``.
     """
     gamma = -t.mu if mu_shifted else 0.0
-    return _shell_sum(t, g, kind, policy or TruncationPolicy(), 1.0, gamma)
+    return _shell_sum(t, g, kind, policy or _DEFAULT_POLICY, 1.0, gamma)
 
 
 def equilibrium_particle_number(
@@ -270,7 +282,7 @@ def equilibrium_particle_number(
     policy: TruncationPolicy | None = None,
 ) -> SeriesResult:
     """Mean particle number ``sum_{k,q} n_{k,q}`` by the same column scheme."""
-    return _shell_sum(t, g, kind, policy or TruncationPolicy(), 0.0, 1.0)
+    return _shell_sum(t, g, kind, policy or _DEFAULT_POLICY, 0.0, 1.0)
 
 
 # --- independent estimate checks --------------------------------------------

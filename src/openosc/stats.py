@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -33,7 +34,8 @@ from .errors import ChemicalPotentialError, DomainError
 from .gas import GasParams, joint_energy, q_min_gas
 from .spectra import OscillatorParams, check_integer, check_mu
 from .summation import (
-    _MAX_BLOCK, Block, SeriesResult, TruncationPolicy, block_sizes, certified_sum
+    _DEFAULT_POLICY, _MAX_BLOCK, Block, SeriesResult, TruncationPolicy, block_sizes,
+    certified_sum,
 )
 
 __all__ = [
@@ -193,7 +195,7 @@ def mean_particle_number(
         underflows to 0.
     """
     if policy is None:
-        policy = TruncationPolicy()
+        policy = _DEFAULT_POLICY
     check_bose_ground(t, p.quantum, kind, "ladder")
     kept = 0 if occupations is None else len(occupations)
     ladder = _ladder_blocks(t, p.quantum, 0.0, 0.0, 1.0, 1, kind, policy, occupations=occupations)
@@ -357,7 +359,8 @@ def ladder_closing(
     )
     value = math.fsum(itertools.chain.from_iterable(pieces))
     j = count + 1
-    f = _fugacity_terms(j, j + 1, 0.0, w, slope, y, False)[0]  # T_j at x = 0
+    om = -math.expm1(-j * y)  # T_j at x = 0, as _fugacity_terms writes it:
+    f = w / om + (slope and slope * math.exp(-j * y) / om / om)
     f /= 1.0 if fermi else -math.expm1(-x)
     remainder = math.exp(-j * x) * f * (1.0 + 2.0**-52 * (j * x + 16.0))
     return value, remainder + (f + 4.0) * 2.0**-1074
@@ -367,13 +370,13 @@ def _fugacity_terms(
     start: int, stop: int, x: float, w: float, slope: float, y: float, fermi: bool
 ) -> list[float]:
     """``s^(j+1) T_j`` for ``start <= j < stop``, ``start`` odd."""
-    js = range(start, stop)
-    terms = [
-        math.exp(-j * x) * (w / om + (slope and slope * math.exp(-j * y) / om / om))
-        for j, om in zip(js, [-math.expm1(-j * y) for j in js])
+    terms = [  # om = 1 - exp(-j*y) is bound before the slope term reads it
+        math.exp(-j * x)
+        * (w / (om := -math.expm1(-j * y)) + (slope and slope * math.exp(-j * y) / om / om))
+        for j in range(start, stop)
     ]
     if fermi:
-        terms[1::2] = [-term for term in terms[1::2]]
+        terms[1::2] = map(operator.neg, terms[1::2])
     return terms
 
 

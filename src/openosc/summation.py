@@ -55,11 +55,17 @@ class TruncationPolicy:
         sequence.  A NaN value or tail never satisfies it.
         """
         rel_tol, abs_tol = self.rel_tol, self.abs_tol
-        for index, (value, tail) in enumerate(zip(values, tail_bounds)):
-            scaled = rel_tol * abs(value)
+        index = 0
+        for size, tail in zip(map(abs, values), tail_bounds):
+            scaled = rel_tol * size
             if tail <= (abs_tol if abs_tol > scaled else scaled):
                 return index
+            index += 1
         return None
+
+
+# The policy of every sum called with ``policy=None``: frozen, so one instance serves all.
+_DEFAULT_POLICY = TruncationPolicy()
 
 
 @dataclass(frozen=True)
