@@ -180,7 +180,9 @@ def _merge_params(
     config_label: str,
 ) -> dict[str, Any]:
     spec = _SWEEP_PARAMS if kind == "sweep" else _KINDS[kind].params
-    known = set(spec) | {"kind", "output", "format", "job"}
+    known = set(spec) | {"kind", "output", "format"}
+    if kind == "sweep":
+        known.add("job")
     for key in config:
         if key not in known:
             raise UsageError(f"unknown config key {key!r} for job kind {kind!r}")
@@ -188,8 +190,6 @@ def _merge_params(
         raise UsageError(
             f"config kind {config['kind']!r} does not match subcommand {kind!r}"
         )
-    if "job" in config and kind != "sweep":
-        raise UsageError(f"unknown config key 'job' for job kind {kind!r}")
     merged: dict[str, Any] = {}
     for name, p in spec.items():
         if flags.get(name) is not None:

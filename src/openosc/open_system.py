@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .spectra import (
-    OccupationState, OscillatorParams, check_integer, check_mu, check_scale, level_index,
+    OccupationState, OscillatorParams, check_integer, check_mu, level_index,
     mode_energy,
 )
 
@@ -60,10 +60,9 @@ def is_accessible(q: int, mu: float, p: OscillatorParams) -> bool:
 class AccessibleSet:
     """Accessibility survey of levels ``0..q_max``.
 
-    ``accessible`` holds levels with effective energy above ``eps``;
-    ``boundary`` holds levels with ``|hbar*omega_eff| <= eps`` (with the
-    default ``eps = 0`` that is an exact zero crossing).  Boundary levels
-    are never counted as accessible.
+    ``accessible`` holds levels with ``hbar*omega_eff > 0``; ``boundary``
+    holds levels at the exact zero crossing ``hbar*omega_eff == 0``.
+    Boundary levels are never counted as accessible.
     """
 
     q_min: float
@@ -71,17 +70,14 @@ class AccessibleSet:
     boundary: tuple[int, ...]
 
 
-def accessible_set(
-    mu: float, p: OscillatorParams, q_max: int, eps: float = 0.0
-) -> AccessibleSet:
+def accessible_set(mu: float, p: OscillatorParams, q_max: int) -> AccessibleSet:
     """Classify levels ``0..q_max`` by the sign of their effective energy."""
     q_max = check_integer("q_max", q_max)
-    check_scale("eps", eps, zero_ok=True)
     acc: list[int] = []
     edge: list[int] = []
     for q in range(q_max + 1):
         w = effective_frequency(q, mu, p)
-        if abs(w) <= eps:
+        if w == 0.0:
             edge.append(q)
         elif w > 0.0:
             acc.append(q)

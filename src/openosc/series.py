@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ChemicalPotentialError, DomainError
 from .gas import GasParams
-from .spectra import check_integer, check_scale
+from .spectra import check_integer
 from .stats import StatisticsKind, Thermo, _ladder_blocks, check_bose_ground, occupation_numbers
 from .summation import (
     _DEFAULT_POLICY, Block, SeriesResult, TruncationPolicy, block_sizes, certified_sum,
@@ -342,12 +342,7 @@ def _zeta_partial_gap(p: int, terms: int) -> tuple[float, float]:
     return float(gap), float(bound)
 
 
-def verify_series_estimates(
-    zeta_terms: int = 1000,
-    k_max: int = 20,
-    grid_step: float = 0.5,
-    grid_max: float = 50.0,
-) -> EstimateReport:
+def verify_series_estimates() -> EstimateReport:
     """Re-derive the three estimate families the analytic ceiling rests on.
 
     1. Partial sums of ``sum r^-p`` for ``p = 4, 6, 8`` land within the
@@ -356,24 +351,19 @@ def verify_series_estimates(
     2. ``sum_{r >= k^2} r^-4 <= (1/6) (2/k^6 + 6/k^8)`` for each ``k``.
     3. ``exp(r) >= r^5/120`` across the sampled grid.
 
-    Each family reports its tightest case so a pass is inspectable.  The cost
-    is linear in ``k_max`` and in ``grid_max / grid_step``, with no cap: a huge
-    but finite size runs that long.
+    The sizes are the paper's: ``R = 1000`` terms, ``k = 1..20`` and the
+    grid ``r = 0, 0.5, ..., 50`` (101 points).  Each family reports its
+    tightest case so a pass is inspectable.
     """
-    zeta_terms = check_integer("zeta_terms", zeta_terms, 1)
-    k_max = check_integer("k_max", k_max, 1)
-    check_scale("grid_step", grid_step)
-    check_scale("grid_max", grid_max, zero_ok=True)
-    check_scale("grid_max / grid_step", grid_max / grid_step, zero_ok=True)
     checks: list[CheckResult] = []
 
     for p in (4, 6, 8):
-        gap, bound = _zeta_partial_gap(p, zeta_terms)
+        gap, bound = _zeta_partial_gap(p, 1000)
         checks.append(CheckResult(f"zeta-partial-p{p}", gap <= bound, gap, bound))
 
     tightest: tuple[int, float, float, float] | None = None
     all_ok = True
-    for k in range(1, k_max + 1):
+    for k in range(1, 21):
         upper = quartic_reciprocal_tail(k * k)
         bound = (2.0 / k**6 + 6.0 / k**8) / 6.0
         all_ok = all_ok and upper <= bound
@@ -391,12 +381,11 @@ def verify_series_estimates(
         )
     )
 
-    steps = int(round(grid_max / grid_step))
     min_margin = math.inf
     min_at = 0.0
     ok = True
-    for i in range(steps + 1):
-        r = i * grid_step
+    for i in range(101):
+        r = i * 0.5
         margin = math.exp(r) - r**5 / 120.0
         ok = ok and margin >= 0.0
         if margin < min_margin:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Mapping
 
 from .errors import ClosureError, DomainError, spell
 
@@ -140,9 +140,6 @@ class OccupationState:
     def items(self) -> list[tuple[Any, int]]:
         """Occupied ``(key, n)`` pairs in ascending key order."""
         return sorted(self.occupations.items())
-
-    def __iter__(self) -> Iterator[tuple[Any, int]]:
-        return iter(self.items())
 
     def validate(self) -> None:
         """Re-check closure and keys; guards against mutation of the backing map."""

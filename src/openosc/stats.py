@@ -394,32 +394,31 @@ def bose_threshold_equivalence(
     g: GasParams,
     k_max: int,
     q_max: int,
-    beta: float = 1.0,
 ) -> ThresholdReport:
     """Check that the Bose occupation at ``(k, q)`` exists iff ``q > q_min(mu, k)``.
 
-    For every grid point the exponent test ``beta*(E - mu) > 0`` (which is
-    exactly when the occupation is defined, and then automatically
-    non-negative) is compared with the strict threshold test.
+    For every grid point the test ``E - mu > 0``, which holds exactly when
+    the occupation is defined at any ``beta``, is compared with the strict
+    threshold test; a defined occupation, evaluated at ``beta = 1``, must
+    also be non-negative.
     Disagreements are returned, not summarised away.  Far above threshold
     the occupation underflows to ``+0.0``, which still counts as a valid
     non-negative value.
     """
     k_max = check_integer("k_max", k_max)
     q_max = check_integer("q_max", q_max)
-    t = Thermo(beta, mu)
+    t = Thermo(1.0, mu)
     mismatches: list[tuple[int, int]] = []
     points = 0
     for k in range(-k_max, k_max + 1):
         threshold = q_min_gas(mu, k, g)
         for q in range(q_max + 1):
             points += 1
-            defined = t.beta * (joint_energy(k, q, g) - mu) > 0.0
-            accessible = q > threshold
-            agree = defined == accessible
+            energy = joint_energy(k, q, g)
+            defined = energy - mu > 0.0
+            agree = defined == (q > threshold)
             if defined:
-                n = occupation_number(joint_energy(k, q, g), t, StatisticsKind.BOSE)
-                agree = agree and n >= 0.0
+                agree = agree and occupation_number(energy, t, StatisticsKind.BOSE) >= 0.0
             if not agree:
                 mismatches.append((k, q))
     return ThresholdReport(not mismatches, tuple(mismatches), points)

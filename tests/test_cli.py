@@ -743,6 +743,41 @@ def test_unknown_statistics_is_a_usage_error(config, expected, tmp_path, capsys)
     assert parse_job(["stats", "--stat", " FERMI "]).params["stat"] == "fermi"
 
 
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (["stats"], {"stat": "fermi", "job": {"kind": "spectrum"}}),
+        # The unknown key is reported before the mismatched kind.
+        (["stats"], {"kind": "gas", "stat": "fermi", "job": {}}),
+        (["sweep", "--param", "beta", "--start", "1", "--stop", "2"],
+         {"job": {"kind": "stats", "stat": "fermi", "job": {}}}),
+    ],
+    ids=["top-level", "kind-mismatch", "inner-job"],
+)
+def test_config_job_key_belongs_to_sweep_only(args, config, tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(config))
+    assert main(args + ["--config", str(cfg)]) == 2
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message == "unknown config key 'job' for job kind 'stats'"
+
+
+def test_config_format_must_be_csv_or_json(tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"format": "xml"}))
+    assert main(["spectrum", "--qmax", "1", "--config", str(cfg)]) == 2
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message == "format must be csv or json, got 'xml'"
+
+
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps([1, 2]))
+    assert main(["spectrum", "--config", str(cfg)]) == 2
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message == f"config {str(cfg)!r} must hold a JSON object"
+
+
 def test_config_kind_mismatch(tmp_path):
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps({"kind": "gas"}))

@@ -59,17 +59,9 @@ def test_accessible_set_survey():
     assert result.boundary == (2,)
 
 
-def test_accessible_set_with_tolerance_band():
-    result = accessible_set(2.5 + 1e-13, REDUCED, q_max=5, eps=1e-9)
-    assert result.boundary == (2,)
-    assert result.accessible == (3, 4, 5)
-
-
 def test_accessible_set_validation():
     with pytest.raises(DomainError):
         accessible_set(0.0, REDUCED, q_max=-1)
-    with pytest.raises(DomainError):
-        accessible_set(0.0, REDUCED, q_max=3, eps=-0.1)
 
 
 # Dyadic grids keep every intermediate exactly representable, so the two

@@ -28,7 +28,7 @@ from openosc import (
     reduced_series_bound,
     verify_series_estimates,
 )
-from openosc.series import _columns_after
+from openosc.series import _columns_after, _zeta_partial_gap
 from openosc.stats import closing_terms, ladder_closing
 from openosc.summation import certified_sum, geom_tails2
 
@@ -442,6 +442,18 @@ def test_bound_after_each_column_covers_the_dropped_columns(beta, kind, mu, weig
         assert abs(dropped) <= decimal.Decimal(bound), (k, bound)
 
 
+def test_columns_after_is_infinite_when_the_column_ratio_rounds_to_one():
+    # A prefactor of 1.97e-299 at beta = 1e-300 makes beta*a*(2K + 1)
+    # underflow to 0, so r = 1 and the later columns have no geometric bound.
+    g = GasParams(OscillatorParams(), 1e150)
+    t = Thermo(1e-300, 0.0)
+    assert _columns_after(0, t, g, FERMI, 0.0, 1.0) == math.inf
+    result = equilibrium_particle_number(t, g, FERMI, TruncationPolicy(max_terms=1000))
+    assert not result.converged
+    assert result.terms_used == 1000
+    assert result.tail_bound == math.inf
+
+
 @pytest.mark.parametrize("rel_tol", [1e-10, 1e-12, 1e-14])
 @pytest.mark.parametrize("weight", sorted(WEIGHTS))
 @pytest.mark.parametrize("kind, mu", COLUMN_CASES, ids=lambda v: getattr(v, "value", v))
@@ -510,26 +522,11 @@ def test_verify_series_estimates_all_pass():
 
 
 def test_verify_series_estimates_gaps_within_bounds():
-    report = verify_series_estimates(zeta_terms=500)
-    by_name = {c.name: c for c in report.checks}
+    # The integral remainder bounds the zeta gap at any R, not only at the
+    # R = 1000 that verify_series_estimates uses.
     for p in (4, 6, 8):
-        check = by_name[f"zeta-partial-p{p}"]
-        assert check.observed <= check.bound
-        assert check.observed > 0.0
-
-
-def test_verify_series_estimates_validation():
-    with pytest.raises(DomainError):
-        verify_series_estimates(zeta_terms=0)
-    with pytest.raises(DomainError):
-        verify_series_estimates(grid_step=0.0)
-
-
-def test_verify_series_estimates_refuses_a_grid_count_that_overflows():
-    # 1e308 / 1e-308 is inf: no grid point count exists to loop over.
-    message = "grid_max / grid_step must be finite and non-negative, got inf"
-    with pytest.raises(DomainError, match=message):
-        verify_series_estimates(grid_max=1e308, grid_step=1e-308)
+        gap, bound = _zeta_partial_gap(p, 500)
+        assert 0.0 < gap <= bound
 
 
 def test_truncation_policy_validation():
