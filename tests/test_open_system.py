@@ -59,6 +59,23 @@ def test_accessible_set_survey():
     assert result.boundary == (2,)
 
 
+@pytest.mark.parametrize("mu, accessible, boundary", [
+    (-1.0, (0, 1, 2, 3, 4, 5), ()),
+    (0.0, (0, 1, 2, 3, 4, 5), ()),
+    (0.5, (1, 2, 3, 4, 5), (0,)),
+    (2.5, (3, 4, 5), (2,)),
+    # 1e-13 past the crossing, level 2 is closed rather than on the boundary.
+    (2.5 + 1e-13, (3, 4, 5), ()),
+    (5.5, (), (5,)),
+])
+def test_accessible_set_boundary_is_the_exact_zero_crossing(mu, accessible, boundary):
+    result = accessible_set(mu, REDUCED, q_max=5)
+    assert result.accessible == accessible
+    assert result.boundary == boundary
+    closed = set(range(6)) - set(accessible) - set(boundary)
+    assert closed == {q for q in range(6) if effective_frequency(q, mu, REDUCED) < 0.0}
+
+
 def test_accessible_set_validation():
     with pytest.raises(DomainError):
         accessible_set(0.0, REDUCED, q_max=-1)

@@ -529,6 +529,36 @@ def test_verify_series_estimates_gaps_within_bounds():
         assert 0.0 < gap <= bound
 
 
+@pytest.mark.parametrize("terms", [1, 10, 100, 1000])
+@pytest.mark.parametrize("p", [4, 6, 8])
+def test_zeta_partial_gap_is_within_the_integral_remainder(p, terms):
+    gap, bound = _zeta_partial_gap(p, terms)
+    assert 0.0 < gap <= bound
+    assert bound == 1.0 / ((p - 1) * terms ** (p - 1))
+
+
+PAPER_SIZE_CHECKS = [
+    ("zeta-partial-p4", _zeta_partial_gap(4, 1000)[0], 1.0 / 3e9, ""),
+    ("zeta-partial-p6", _zeta_partial_gap(6, 1000)[0], 2e-16, ""),
+    ("zeta-partial-p8", _zeta_partial_gap(8, 1000)[0], 1.0 / 7e21, ""),
+    ("polygamma-tail", quartic_reciprocal_tail(400), (2.0 / 20**6 + 6.0 / 20**8) / 6.0,
+     "tightest at k=20"),
+    ("exp-minorant", 1.0, 0.0, "tightest at r=0.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, observed, bound, detail", PAPER_SIZE_CHECKS, ids=[c[0] for c in PAPER_SIZE_CHECKS]
+)
+def test_verify_series_estimates_runs_at_the_paper_sizes(name, observed, bound, detail):
+    # R = 1000 terms, k = 1..20 and r = 0, 0.5, ..., 50: the tightest k is
+    # the last one and the exp minorant is tightest at the grid's start.
+    check = {c.name: c for c in verify_series_estimates().checks}[name]
+    assert check.passed
+    assert (check.observed, check.detail) == (observed, detail)
+    assert check.bound == bound
+
+
 def test_truncation_policy_validation():
     with pytest.raises(DomainError):
         TruncationPolicy(rel_tol=0.0)

@@ -1,5 +1,6 @@
 """Tests for oscillator parameters, occupation states, and raw spectra."""
 
+import inspect
 import math
 
 import pytest
@@ -32,6 +33,7 @@ from openosc import (
     q_min_gas,
     quartic_reciprocal_tail,
     translational_energy,
+    verify_series_estimates,
 )
 
 REDUCED = OscillatorParams()
@@ -161,6 +163,24 @@ def test_every_index_count_and_size_refuses_what_is_not_a_whole_number(name, cal
 def test_an_integral_float_index_count_or_size_gives_the_result_of_its_int(name, least, call):
     # ChainParams(3.0, p) was accepted, then chain_frequencies died in range(1, 4.0).
     assert repr(call(3.0)) == repr(call(3))
+
+
+# These checks run at the paper's fixed sizes and at its exact threshold;
+# they keep no tolerance, grid or temperature knob.
+@pytest.mark.parametrize("function, parameters", [
+    (verify_series_estimates, []),
+    (bose_threshold_equivalence, ["mu", "g", "k_max", "q_max"]),
+    (accessible_set, ["mu", "p", "q_max"]),
+], ids=lambda v: getattr(v, "__name__", "-"))
+def test_threshold_and_estimate_checks_take_only_their_inputs(function, parameters):
+    assert list(inspect.signature(function).parameters) == parameters
+
+
+def test_an_occupation_state_is_read_through_items_not_iteration():
+    state = OccupationState({3: 1, 0: 2})
+    assert state.items() == [(0, 2), (3, 1)]
+    with pytest.raises(TypeError):
+        iter(state)
 
 
 @pytest.mark.parametrize("name, call", [

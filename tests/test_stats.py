@@ -23,9 +23,11 @@ from openosc import (
     Thermo,
     TruncationPolicy,
     bose_threshold_equivalence,
+    joint_energy,
     mean_particle_number,
     mode_energy,
     occupation_number,
+    q_min_gas,
 )
 from openosc.stats import closing_terms, ladder_closing
 
@@ -259,6 +261,25 @@ def test_threshold_equivalence_moderate_grid():
         assert report.agreed, f"mismatch at mu={mu}: {report.mismatches[:5]}"
         assert report.mismatches == ()
         assert report.points == 25 * 31
+
+
+@pytest.mark.parametrize("mu", [-1.0, 0.0, 0.3, 0.5, 1.0, 2.5])
+def test_threshold_verdict_is_the_same_at_every_beta(mu):
+    # bose_threshold_equivalence evaluates at beta = 1 only: whether a Bose
+    # occupation exists is the sign of E - mu, which no positive beta flips.
+    grid = [(k, q) for k in range(-12, 13) for q in range(31)]
+    open_points = {(k, q) for k, q in grid if q > q_min_gas(mu, k, RG)}
+    for beta in (0.01, 1.0, 100.0):
+        t = Thermo(beta, mu)
+        defined = set()
+        for k, q in grid:
+            try:
+                occupation_number(joint_energy(k, q, RG), t, BOSE)
+            except ChemicalPotentialError:
+                continue
+            defined.add((k, q))
+        assert defined == open_points, beta
+    assert bose_threshold_equivalence(mu, RG, k_max=12, q_max=30).agreed
 
 
 def test_threshold_equivalence_validation():
