@@ -85,9 +85,11 @@ def _convert(name: str, spec: _Param, raw: Any, source: str) -> Any:
             raise fail("a number")
         try:
             return float(raw)
-        except ValueError:
+        except (ValueError, OverflowError):  # OverflowError: an int beyond the float range
             raise fail("a number") from None
     if spec.type == "int":
+        if isinstance(raw, float) and raw.is_integer():
+            raw = int(raw)
         if isinstance(raw, bool) or not isinstance(raw, (int, str)):
             raise fail("an integer")
         try:
@@ -107,21 +109,17 @@ def _convert(name: str, spec: _Param, raw: Any, source: str) -> Any:
             raise fail("a string")
         return raw
     if spec.type in ("int_list", "float_list"):
-        cast = int if spec.type == "int_list" else float
         if isinstance(raw, str):
             parts = [p for p in raw.split(",") if p.strip() != ""]
         elif isinstance(raw, (list, tuple)):
             parts = list(raw)
         else:
             raise fail("a comma-separated list")
-        # Elements follow the scalar rules: booleans are not numbers, ints are integral.
-        if any(isinstance(p, bool) or cast is int and isinstance(p, float) and not p.is_integer()
-               for p in parts):
-            raise fail(f"a list of {cast.__name__}s")
+        element = _Param(spec.type.removesuffix("_list"))  # elements follow the scalar rules
         try:
-            return [cast(p) for p in parts]
-        except (ValueError, TypeError):
-            raise fail(f"a list of {cast.__name__}s") from None
+            return [_convert(name, element, p, source) for p in parts]
+        except UsageError:
+            raise fail(f"a list of {element.type}s") from None
     raise AssertionError(f"unhandled parameter type {spec.type}")
 
 
@@ -166,7 +164,7 @@ def _load_config(path: str) -> dict[str, Any]:
         raise UsageError(f"cannot read config {path!r}: {exc}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
         raise UsageError(f"config {path!r} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError(f"config {path!r} must hold a JSON object")

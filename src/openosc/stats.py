@@ -22,20 +22,17 @@ if that fits the term cap and meets the policy.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
-import operator
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Generator, Sequence
+from typing import Generator, Iterator, Sequence
 
 from .errors import ChemicalPotentialError, DomainError
 from .gas import GasParams, joint_energy, q_min_gas
 from .spectra import OscillatorParams, check_integer, check_mu
 from .summation import (
-    _DEFAULT_POLICY, _MAX_BLOCK, Block, SeriesResult, TruncationPolicy, block_sizes,
-    certified_sum,
+    _DEFAULT_POLICY, Block, SeriesResult, TruncationPolicy, block_sizes, certified_sum,
 )
 
 __all__ = [
@@ -333,10 +330,10 @@ def ladder_closing(
         sum_i (w + slope*i) n(x + i*y) = sum_{j >= 1} s^(j+1) T_j,
         T_j = exp(-j*x) * [w/(1 - z_j) + slope*z_j/(1 - z_j)^2],  z_j = exp(-j*y).
 
-    The value is the ``math.fsum`` of the first ``J = count`` terms, in
-    pieces of at most ``_MAX_BLOCK``, with ``1 - z_j`` taken as
-    ``-expm1(-j*y)``.  For ``w, slope >= 0`` the bracket falls with ``j``,
-    so ``T_{j+1} <= exp(-x) T_j`` and the dropped terms add up to at most
+    The value is one ``math.fsum`` of the first ``J = count`` terms,
+    streamed to it one at a time, so a closing holds no list of them; ``1 - z_j``
+    is taken as ``-expm1(-j*y)``.  For ``w, slope >= 0`` the bracket falls with
+    ``j``, so ``T_{j+1} <= exp(-x) T_j`` and the dropped terms add up to at most
     ``T_{J+1}/(1 - exp(-x))`` (bosons: positive, geometric) or ``T_{J+1}``
     (fermions: alternating).  That remainder ``exp(-(J+1)*x) * F`` is raised
     by ``2**-52 * ((J+1)*x + 16)`` of itself, for the rounding of the exponent
@@ -353,11 +350,7 @@ def ladder_closing(
     ``x = 1`` up, at ``rel_tol >= 2**-64``, ``J = ceil(46/x)``.
     """
     fermi = kind is StatisticsKind.FERMI
-    pieces = (
-        _fugacity_terms(j, min(j + _MAX_BLOCK, count + 1), x, w, slope, y, fermi)
-        for j in range(1, count + 1, _MAX_BLOCK)
-    )
-    value = math.fsum(itertools.chain.from_iterable(pieces))
+    value = math.fsum(_fugacity_terms(count, x, w, slope, y, fermi))
     j = count + 1
     om = -math.expm1(-j * y)  # T_j at x = 0, as _fugacity_terms writes it:
     f = w / om + (slope and slope * math.exp(-j * y) / om / om)
@@ -367,17 +360,13 @@ def ladder_closing(
 
 
 def _fugacity_terms(
-    start: int, stop: int, x: float, w: float, slope: float, y: float, fermi: bool
-) -> list[float]:
-    """``s^(j+1) T_j`` for ``start <= j < stop``, ``start`` odd."""
-    terms = [  # om = 1 - exp(-j*y) is bound before the slope term reads it
-        math.exp(-j * x)
-        * (w / (om := -math.expm1(-j * y)) + (slope and slope * math.exp(-j * y) / om / om))
-        for j in range(start, stop)
-    ]
-    if fermi:
-        terms[1::2] = map(operator.neg, terms[1::2])
-    return terms
+    count: int, x: float, w: float, slope: float, y: float, fermi: bool
+) -> Iterator[float]:
+    """``s^(j+1) T_j`` for ``j = 1..count``, one term at a time."""
+    for j in range(1, count + 1):
+        om = -math.expm1(-j * y)
+        term = math.exp(-j * x) * (w / om + (slope and slope * math.exp(-j * y) / om / om))
+        yield -term if fermi and not j & 1 else term
 
 
 @dataclass(frozen=True)

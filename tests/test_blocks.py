@@ -20,6 +20,7 @@ certified tail bounds and the rounding of both sums.
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from bisect import bisect_left
 
@@ -434,14 +435,21 @@ def test_ladder_tiny_exponent_warning_fires_once_per_sum():
 
 def test_closed_ladder_builds_no_list_longer_than_a_block(monkeypatch):
     # beta = 1e-8: ~68k head levels, then a closing of ~77k fugacity terms.
-    built = []
+    evaluated = 0
+    closings = []
 
-    def recorded(*args, _terms=stats._fugacity_terms):
-        terms = _terms(*args)
-        built.append(len(terms))
-        return terms
+    def counted(*args, _terms=stats._fugacity_terms):
+        nonlocal evaluated
+        for term in _terms(*args):
+            evaluated += 1
+            yield term
 
-    monkeypatch.setattr(stats, "_fugacity_terms", recorded)
+    def recorded(*args, _closing=stats.ladder_closing):
+        closings.append(args)
+        return _closing(*args)
+
+    monkeypatch.setattr(stats, "_fugacity_terms", counted)
+    monkeypatch.setattr(stats, "ladder_closing", recorded)
     for kind in (BOSE, FERMI):
         policy = TruncationPolicy()
         ladder = _ladder_blocks(Thermo(1e-8, 0.0), REDUCED.quantum, 0.0, 0.0, 1.0, 1, kind, policy)
@@ -450,9 +458,18 @@ def test_closed_ladder_builds_no_list_longer_than_a_block(monkeypatch):
                    for terms, counts, tails in blocks)
         closing = blocks[-1][1][-1]
         assert closing > 50_000
-        assert sum(built) == closing  # the kept terms; T_{J+1} is worked out directly
-        assert max(built) <= _MAX_BLOCK
-        built.clear()
+        assert evaluated == closing  # the kept terms; T_{J+1} is worked out directly
+        evaluated = 0
+    monkeypatch.undo()
+    assert len(closings) == 2
+    for args in closings:  # a closing holds no list of its terms, whatever its length
+        tracemalloc.start()  # traces only what is allocated from here on
+        try:
+            stats.ladder_closing(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2048, (args, peak)
 
 
 # --- the reduced series -------------------------------------------------------

@@ -708,13 +708,26 @@ def test_config_unknown_key_is_named(tmp_path, capsys):
          "config[chain] value for 'levels' must be a list of ints, got [True, 0]"),
         (["oracle", "--stat", "fermi"], {"energies": [0.5, True]}, 2,
          "config[oracle] value for 'energies' must be a list of floats, got [0.5, True]"),
+        (["chain"], {"count": 2.0}, 0, "# count = 2\n"),
+        (["chain"], {"count": 2.5}, 2,
+         "config[chain] value for 'count' must be an integer, got 2.5"),
+        (["chain"], {"count": True}, 2,
+         "config[chain] value for 'count' must be an integer, got True"),
+        (["stats", "--stat", "fermi"], {"mu": 10**400}, 2,
+         "config[stats] value for 'mu' must be a number, got 1000"),
+        (["oracle", "--stat", "fermi"], {"energies": [10**400, 0.5]}, 2,
+         "config[oracle] value for 'energies' must be a list of floats, got [1000"),
     ],
-    ids=["integral-float", "fractional", "bool-int", "bool-float"],
+    ids=["integral-float", "fractional", "bool-int", "bool-float",
+         "scalar-integral-float", "scalar-fractional", "scalar-bool-int",
+         "scalar-past-float-range", "element-past-float-range"],
 )
 def test_config_list_elements_follow_scalar_rules(args, config, code, expected, tmp_path,
                                                   capsys):
-    # As with --levels 0.5, a list element is not truncated or read as a number
-    # when it is a boolean, or a fractional number where ints are expected.
+    # A list element converts as the scalar does: an integral float is an int, and
+    # a boolean, or a fractional number where ints are expected, is not truncated or
+    # read as a number.  An int too large for a float is not a number (as a flag the
+    # same digits are a string, which float() reads as inf).
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps(config))
     assert main(args + ["--config", str(cfg)]) == code
@@ -803,6 +816,16 @@ def test_config_invalid_json(tmp_path):
     cfg.write_text("{not json")
     with pytest.raises(UsageError):
         parse_job(["spectrum", "--config", str(cfg)])
+
+
+def test_config_int_literal_past_the_digit_limit_is_not_valid_json(tmp_path, capsys):
+    # json.loads refuses an int literal of more than 4300 digits with a plain
+    # ValueError, not a JSONDecodeError.
+    cfg = tmp_path / "job.json"
+    cfg.write_text('{"mu": 1' + "0" * 5000 + "}")
+    assert main(["stats", "--stat", "fermi", "--config", str(cfg)]) == 2
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message.startswith(f"config {str(cfg)!r} is not valid JSON: ")
 
 
 def test_sweep_inner_job_from_config(tmp_path):

@@ -1,5 +1,6 @@
 """The package namespace re-exports exactly what its modules declare public,
-and its source holds no unused import and no dead module-level helper."""
+its source and tests hold no unused import, and its source no dead module-level
+helper."""
 
 import ast
 import importlib
@@ -50,10 +51,16 @@ def test_earlier_exports_are_kept():
     assert set(FROZEN_EXPORTS) <= set(openosc.__all__)
 
 
-# --- a stdlib lint of the package source ----------------------------------------
+# --- a stdlib lint of the package source and its tests -------------------------
 
-SOURCES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-           for path in sorted(Path(openosc.__file__).parent.glob("*.py"))}
+
+def parsed(directory, prefix=""):
+    return {prefix + path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(directory.glob("*.py"))}
+
+
+SOURCES = parsed(Path(openosc.__file__).parent)
+TESTS = parsed(Path(__file__).parent, "tests/")
 
 
 def referenced(tree):
@@ -82,7 +89,7 @@ def declared_all(tree):
 
 def test_no_module_has_an_unused_import():
     unused = []
-    for module, tree in SOURCES.items():
+    for module, tree in {**SOURCES, **TESTS}.items():
         used = referenced(tree) | declared_all(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":

@@ -31,6 +31,7 @@ from openosc import (
 from openosc.series import _columns_after, _zeta_partial_gap
 from openosc.stats import closing_terms, ladder_closing
 from openosc.summation import certified_sum, geom_tails2
+from references import decimal_ladder
 
 RG = GasParams.reduced()
 BOSE = StatisticsKind.BOSE
@@ -350,25 +351,6 @@ def weight_of(weight, mu):
     return alpha, -mu if gamma is None else gamma
 
 
-def decimal_column(x, w, slope, y, kind, span=_X_STOP, digits=40):
-    """sum_{i >= 0} (w + slope*i) * n(x + i*y) while i*y < span, in `digits` digits."""
-    sign = 1 if kind is BOSE else -1
-    d = decimal.Decimal
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits
-        x, w, slope, y = d(x), d(w), d(slope), d(y)
-        ratio = (-y).exp()
-        p = (-x).exp()
-        total = d(0)
-        end = x + span
-        while x < end:
-            total += w * p / (1 - sign * p)
-            x += y
-            w += slope
-            p *= ratio
-        return total
-
-
 @functools.lru_cache(maxsize=None)
 def decimal_columns(beta, mu, kind, weight):
     """Column sums k = 0, 1, ... (one sign of k) while the column starts below _X_STOP."""
@@ -380,7 +362,8 @@ def decimal_columns(beta, mu, kind, weight):
         while beta * (len(columns) ** 2 + 0.5 - mu) < _X_STOP:
             bottom = len(columns) ** 2 + d("0.5")
             x = d(beta) * (bottom - d(mu))
-            columns.append(decimal_column(x, d(alpha) * bottom + d(gamma), alpha, beta, kind))
+            w = d(alpha) * bottom + d(gamma)
+            columns.append(decimal_ladder(x, w, alpha, beta, kind, span=_X_STOP)[0])
     return columns
 
 
@@ -420,7 +403,7 @@ def test_closing_remainder_covers_the_dropped_fugacity_terms(beta, kind, mu, wei
                 kept += s ** (j + 1) * (-j * d(x)).exp() * (
                     d(w) / (1 - z) + d(alpha) * z / (1 - z) ** 2
                 )
-            exact = decimal_column(x, w, alpha, beta, kind, span=170, digits=80)
+            exact = decimal_ladder(x, w, alpha, beta, kind, span=170, digits=80)[0]
             assert abs(exact - kept) <= d(remainder), (k, count)
             assert remainder <= 2.0**-64 * value
             assert abs(d(value) - exact) <= d(remainder) + d(4 * count * 2.0**-53 * value)
