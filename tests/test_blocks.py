@@ -37,7 +37,6 @@ from openosc import (
     StatisticsKind,
     Thermo,
     TruncationPolicy,
-    equilibrium_effective_energy,
     equilibrium_particle_number,
     mean_particle_number,
     occupation_number,
@@ -47,6 +46,7 @@ from openosc import series, stats, summation
 from openosc.series import _column_steps, _safe_exp
 from openosc.stats import _LARGE_X, _TINY_X, _ladder_blocks, closing_start
 from openosc.summation import _FIRST_BLOCK, _MAX_BLOCK, block_sizes
+from references import WEIGHTS, check_close, gas_sum, weight_of
 
 BOSE = StatisticsKind.BOSE
 FERMI = StatisticsKind.FERMI
@@ -162,32 +162,14 @@ def reference_reduced(mu, kind, policy):
     return reference_certified_sum(reference_reduced_steps(mu, math.exp(0.5 - mu), kind), policy)
 
 
-WEIGHTS = {"count": (0.0, 1.0), "energy": (1.0, 0.0), "effective": (1.0, None)}
-
-
 def reference_shells(t, g, kind, weight, policy):
-    alpha, gamma = WEIGHTS[weight]
-    if gamma is None:
-        gamma = -t.mu
+    alpha, gamma = weight_of(weight, t.mu)
     return reference_certified_sum(reference_shell_steps(t, g, kind, alpha, gamma), policy)
-
-
-def shells(t, g, kind, weight, policy):
-    if weight == "count":
-        return equilibrium_particle_number(t, g, kind, policy)
-    return equilibrium_effective_energy(t, g, kind, policy, mu_shifted=weight == "effective")
-
-
-def check_close(result, expected):
-    """Within both tails plus the rounding of both sums, the rule of bench/checks.py."""
-    terms = result.terms_used + expected.terms_used + 16
-    slack = result.tail_bound + expected.tail_bound + terms * 2.0**-53 * abs(expected.value)
-    assert abs(result.value - expected.value) <= slack, (result, expected)
 
 
 def check_shells(t, g, kind, weight, policy):
     """The column sum against the shell steps."""
-    result = shells(t, g, kind, weight, policy)
+    result = gas_sum(t, g, kind, weight, policy)
     check_close(result, reference_shells(t, g, kind, weight, policy))
     return result
 
@@ -674,7 +656,7 @@ def test_every_ladder_closes_at_its_first_level_past_closing_start(monkeypatch, 
     sums = {"mean": (0.0, lambda: mean_particle_number(t, RG.osc, kind))}
     for weight in WEIGHTS:
         sums[weight] = (RG.translational_prefactor,
-                        lambda weight=weight: shells(t, RG, kind, weight, TruncationPolicy()))
+                        lambda weight=weight: gas_sum(t, RG, kind, weight, TruncationPolicy()))
     for name, (a, call) in sums.items():
         seen = closings_seen(monkeypatch, call)
         if name == "mean":
@@ -703,6 +685,6 @@ def test_each_closing_works_out_its_depth_once(monkeypatch, kind, weight):
 
     monkeypatch.setattr(stats, "closing_terms", recorded)
     t = Thermo(0.01, 0.0)
-    seen = closings_seen(monkeypatch, lambda: shells(t, RG, kind, weight, TruncationPolicy()))
+    seen = closings_seen(monkeypatch, lambda: gas_sum(t, RG, kind, weight, TruncationPolicy()))
     assert len(seen) > 5
     assert depths == [x for x, _ in seen]

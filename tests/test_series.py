@@ -6,7 +6,6 @@ the reference values before the adaptive implementation existed.
 """
 
 import decimal
-import functools
 import itertools
 import math
 
@@ -31,7 +30,10 @@ from openosc import (
 from openosc.series import _columns_after, _zeta_partial_gap
 from openosc.stats import closing_terms, ladder_closing
 from openosc.summation import certified_sum, geom_tails2
-from references import decimal_ladder
+from references import (
+    _X_STOP, WEIGHTS, decimal_columns, decimal_fugacity_terms, decimal_gas, decimal_ladder,
+    decimal_reduced_series, gas_sum, plain_add_allowance, weight_of,
+)
 
 RG = GasParams.reduced()
 BOSE = StatisticsKind.BOSE
@@ -125,20 +127,11 @@ def test_reduced_series_non_convergence_is_reported():
 
 
 @pytest.mark.parametrize("kind", [FERMI, BOSE], ids=["fermi", "bose"])
-@pytest.mark.parametrize(
-    "shell_sum",
-    [
-        lambda t, kind, policy: equilibrium_particle_number(t, RG, kind, policy),
-        lambda t, kind, policy: equilibrium_effective_energy(t, RG, kind, policy),
-        lambda t, kind, policy: equilibrium_effective_energy(
-            t, RG, kind, policy, mu_shifted=True
-        ),
-    ],
-    ids=["particle_number", "energy", "effective_energy"],
-)
-def test_shell_sum_non_convergence_is_reported(shell_sum, kind):
+@pytest.mark.parametrize("weight", ["count", "energy", "effective"],
+                         ids=["particle_number", "energy", "effective_energy"])
+def test_shell_sum_non_convergence_is_reported(weight, kind):
     policy = TruncationPolicy(rel_tol=1e-10, abs_tol=1e-30, max_terms=5)
-    result = shell_sum(Thermo(1.0, 0.0), kind, policy)
+    result = gas_sum(Thermo(1.0, 0.0), RG, kind, weight, policy)
     assert not result.converged
     assert result.terms_used >= policy.max_terms
     assert result.tail_bound > 0.0
@@ -184,6 +177,7 @@ def test_unrepresentable_mu_is_a_domain_error():
 def brute_equilibrium(mu, kind, weight, k_max=40, q_max=760):
     """Rectangular oracle for the physical-units shell sums (reduced gas)."""
     sign = -1.0 if kind is BOSE else 1.0
+    alpha, gamma = weight_of(weight, mu)
     total = 0.0
     for k in range(-k_max, k_max + 1):
         for q in range(q_max + 1):
@@ -192,8 +186,7 @@ def brute_equilibrium(mu, kind, weight, k_max=40, q_max=760):
             if x > 700.0:
                 break
             n = 1.0 / (math.exp(x) + sign)
-            w = {"energy": e, "effective": e - mu, "count": 1.0}[weight]
-            total += w * n
+            total += (alpha * e + gamma) * n
     return total
 
 
@@ -274,18 +267,6 @@ def test_effective_weight_at_an_infinite_mu_is_a_domain_error():
             equilibrium_effective_energy(Thermo(1.0, mu), RG, kind, mu_shifted=True)
 
 
-def decimal_reduced_series(mu, kind, shells=400, digits=50):
-    """S(mu) over shells 0..shells-1 in `digits`-digit decimal arithmetic."""
-    sign = -1 if kind is BOSE else 1
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits
-        c = (decimal.Decimal(0.5) - decimal.Decimal(mu)).exp()
-        total = decimal.Decimal(0)
-        for r in range(shells):
-            total += (2 * math.isqrt(r) + 1) * r / (c * decimal.Decimal(r).exp() + sign)
-        return total
-
-
 @pytest.mark.xfail(
     strict=True,
     reason="certified_sum adds in plain floating point and tail_bound leaves out the "
@@ -316,60 +297,22 @@ def test_shell_sum_at_tiny_beta_reports_the_cap():
 
 
 @pytest.mark.parametrize("kind", [FERMI, BOSE], ids=["fermi", "bose"])
-@pytest.mark.parametrize("mu_shifted", [False, True], ids=["energy", "effective_energy"])
-def test_shell_sum_meets_a_relative_tolerance_below_two_to_the_minus_64(kind, mu_shifted):
+@pytest.mark.parametrize("weight", ["energy", "effective"], ids=["energy", "effective_energy"])
+def test_shell_sum_meets_a_relative_tolerance_below_two_to_the_minus_64(kind, weight):
     # Closings that ignored the policy kept ~2**-64 of their column, so at
     # rel_tol = 1e-25 the remainders alone missed it and the sum ran to its
     # cap (100,000 terms); with the policy's rel_tol it stops in a few hundred.
     policy = TruncationPolicy(rel_tol=1e-25, abs_tol=0.0, max_terms=10**5)
     t = Thermo(0.3, 0.0)
-    for result in (
-        equilibrium_particle_number(t, RG, kind, policy),
-        equilibrium_effective_energy(t, RG, kind, policy, mu_shifted=mu_shifted),
-    ):
+    for result in (gas_sum(t, RG, kind, "count", policy), gas_sum(t, RG, kind, weight, policy)):
         assert result.converged
         assert result.terms_used < 1000
         assert result.tail_bound <= 1e-25 * abs(result.value)
 
 
 # --- the column sums against 40-digit references ------------------------------
-#
-# On the reduced gas (eps_k = k^2, hbar*omega = 1) level q of column k has
-# x = beta*(k^2 + q + 1/2 - mu).  The references add each level's weight times
-# exp(-x)/(1 -+ exp(-x)) in 40-digit decimal, with exp(-x) stepped along the
-# column by the factor exp(-beta).  A column stops _X_STOP past its first
-# level and the gas after the first column to start beyond _X_STOP, where
-# what is left is below 1e-40 of every sum below.
 
-_X_STOP = 100
-WEIGHTS = {"count": (0.0, 1.0), "energy": (1.0, 0.0), "effective": (1.0, None)}
 COLUMN_CASES = [(BOSE, -1.0), (BOSE, 0.49), (FERMI, 0.0), (FERMI, 3.0)]
-
-
-def weight_of(weight, mu):
-    alpha, gamma = WEIGHTS[weight]
-    return alpha, -mu if gamma is None else gamma
-
-
-@functools.lru_cache(maxsize=None)
-def decimal_columns(beta, mu, kind, weight):
-    """Column sums k = 0, 1, ... (one sign of k) while the column starts below _X_STOP."""
-    alpha, gamma = weight_of(weight, mu)
-    columns = []
-    with decimal.localcontext() as ctx:
-        ctx.prec = 40
-        d = decimal.Decimal
-        while beta * (len(columns) ** 2 + 0.5 - mu) < _X_STOP:
-            bottom = len(columns) ** 2 + d("0.5")
-            x = d(beta) * (bottom - d(mu))
-            w = d(alpha) * bottom + d(gamma)
-            columns.append(decimal_ladder(x, w, alpha, beta, kind, span=_X_STOP)[0])
-    return columns
-
-
-def decimal_gas(beta, mu, kind, weight):
-    columns = decimal_columns(beta, mu, kind, weight)
-    return columns[0] + 2 * sum(columns[1:])
 
 
 @pytest.mark.parametrize("weight", sorted(WEIGHTS))
@@ -382,7 +325,6 @@ def test_closing_remainder_covers_the_dropped_fugacity_terms(beta, kind, mu, wei
     # it drops.  Those are down to ~1e-40 of the value at x = 50, so both
     # sides take 80 digits and the column runs 170 past its first level.
     alpha, gamma = weight_of(weight, mu)
-    s = 1 if kind is BOSE else -1
     for k in (0, 1, 2, 5, 9):
         q = 0
         while beta * (k * k + q + 0.5 - mu) < 1.0:
@@ -394,15 +336,10 @@ def test_closing_remainder_covers_the_dropped_fugacity_terms(beta, kind, mu, wei
         w = alpha * energy + gamma
         count = closing_terms(x, TruncationPolicy().rel_tol)
         value, remainder = ladder_closing(x, w, alpha, beta, kind, count)
+        kept = decimal_fugacity_terms(x, w, alpha, beta, kind, 1, count, digits=80)
         with decimal.localcontext() as ctx:
             ctx.prec = 80
             d = decimal.Decimal
-            kept = d(0)
-            for j in range(1, count + 1):
-                z = (-j * d(beta)).exp()
-                kept += s ** (j + 1) * (-j * d(x)).exp() * (
-                    d(w) / (1 - z) + d(alpha) * z / (1 - z) ** 2
-                )
             exact = decimal_ladder(x, w, alpha, beta, kind, span=170, digits=80)[0]
             assert abs(exact - kept) <= d(remainder), (k, count)
             assert remainder <= 2.0**-64 * value
@@ -442,16 +379,11 @@ def test_columns_after_is_infinite_when_the_column_ratio_rounds_to_one():
 @pytest.mark.parametrize("kind, mu", COLUMN_CASES, ids=lambda v: getattr(v, "value", v))
 @pytest.mark.parametrize("beta", [0.05, 0.3, 1.0, 10.0])
 def test_shell_sums_against_a_decimal_reference(beta, kind, mu, weight, rel_tol):
-    # The driver's plain adds round by at most (terms + 16) * 2**-53 * |value|,
-    # the allowance bench/checks.py grants; tail_bound covers the rest.
-    t = Thermo(beta, mu)
-    policy = TruncationPolicy(rel_tol=rel_tol)
-    if weight == "count":
-        result = equilibrium_particle_number(t, RG, kind, policy)
-    else:
-        result = equilibrium_effective_energy(t, RG, kind, policy, weight == "effective")
+    # The driver's plain adds round by at most plain_add_allowance, the
+    # allowance bench/checks.py grants; tail_bound covers the rest.
+    result = gas_sum(Thermo(beta, mu), RG, kind, weight, TruncationPolicy(rel_tol=rel_tol))
     assert result.converged
-    allowance = (result.terms_used + 16) * 2.0**-53 * abs(result.value)
+    allowance = plain_add_allowance(result.terms_used, result.value)
     error = abs(decimal.Decimal(result.value) - decimal_gas(beta, mu, kind, weight))
     assert error <= decimal.Decimal(result.tail_bound + allowance)
 

@@ -30,7 +30,7 @@ from openosc import (
     q_min_gas,
 )
 from openosc.stats import closing_terms, ladder_closing
-from references import decimal_ladder
+from references import check_close, decimal_fugacity_terms, decimal_ladder, plain_add_allowance
 
 REDUCED = OscillatorParams()
 RG = GasParams.reduced()
@@ -235,8 +235,7 @@ def test_ladder_mean_hands_back_its_summed_occupations(kind, t, policy, converge
     closed = mean_particle_number(t, REDUCED, kind, policy)
     if closed != result:
         assert closed.converged and closed.terms_used < result.terms_used
-        rounding = (closed.terms_used + result.terms_used + 16) * 2.0**-53 * result.value
-        assert abs(closed.value - result.value) <= closed.tail_bound + result.tail_bound + rounding
+        check_close(closed, result)
     assert len(occupations) == result.terms_used
     assert occupations == [
         occupation_number(mode_energy(q, REDUCED), t, kind) for q in range(result.terms_used)
@@ -329,7 +328,7 @@ def test_closing_below_unit_exponent_against_a_decimal_ladder(kind, x, y, weight
     assert remainder <= 2.0**-64 * abs(value)
     lo, rest = decimal_ladder(x, w, slope, y, kind)
     d = decimal.Decimal
-    allowance = d(remainder) + d((count + 16) * 2.0**-53 * abs(value))
+    allowance = d(remainder) + d(plain_add_allowance(count, value))
     # the exact sum lies in [lo, lo + rest]
     assert d(value) - lo <= allowance
     assert lo + rest - d(value) <= allowance
@@ -346,29 +345,6 @@ def test_ladder_closing_meets_the_tightest_relative_tolerance(kind):
     assert result.tail_bound <= 1e-300 * result.value
 
 
-def decimal_dropped_terms(x, w, slope, y, kind, count, digits=60):
-    """``|sum_{j > count} s^(j+1) T_j|`` of ``ladder_closing``, in ``digits``-digit decimal.
-
-    The terms fall by at least ``exp(-x)`` each; the sum stops once one is
-    below ``10**-(digits + 2)`` of the first.
-    """
-    sign = 1 if kind is BOSE else -1
-    d = decimal.Decimal
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits
-        ex, ey = (-d(x)).exp(), (-d(y)).exp()
-        j = count + 1
-        e, z = ex**j, ey**j
-        total, first = d(0), None
-        while True:
-            t = e * (d(w) / (1 - z) + d(slope) * z / (1 - z) ** 2)
-            first = t if first is None else first
-            total += sign ** (j + 1) * t
-            if t <= first.scaleb(-digits - 2):
-                return abs(total)
-            j, e, z = j + 1, e * ex, z * ey
-
-
 def test_closing_remainder_covers_its_rounding_and_underflow():
     # Every closing has J*x >= 46, so the rounding of the exponent -(J+1)*x
     # alone moves exp by more than 2**-48; past x ~ 350 the remainder is
@@ -376,7 +352,8 @@ def test_closing_remainder_covers_its_rounding_and_underflow():
     rel_tol = TruncationPolicy().rel_tol
     t = Thermo(3.2208312593304522, -9.765221828861328)
     x = t.beta * (0.5 - t.mu)  # this ladder mean closes at its ground level
-    exact = decimal_dropped_terms(x, 1.0, 0.0, t.beta, BOSE, closing_terms(x, rel_tol))
+    count = closing_terms(x, rel_tol)
+    exact = decimal_fugacity_terms(x, 1.0, 0.0, t.beta, BOSE, count + 1).copy_abs()
     assert decimal.Decimal(mean_particle_number(t, REDUCED, BOSE).tail_bound) >= exact
     rng = random.Random(2026)
     for _ in range(600):
@@ -387,7 +364,7 @@ def test_closing_remainder_covers_its_rounding_and_underflow():
         kind = rng.choice([BOSE, FERMI])
         count = closing_terms(x, rel_tol)
         remainder = ladder_closing(x, w, slope, y, kind, count)[1]
-        exact = decimal_dropped_terms(x, w, slope, y, kind, count)
+        exact = decimal_fugacity_terms(x, w, slope, y, kind, count + 1).copy_abs()
         assert decimal.Decimal(remainder) >= exact, (x, w, slope, y, kind)
 
 
