@@ -160,12 +160,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(path: str) -> dict[str, Any]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path!r}: {exc}") from None
     try:
         data = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
         raise UsageError(f"config {path!r} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise UsageError(f"config {path!r} nests too deeply to parse") from None
     if not isinstance(data, dict):
         raise UsageError(f"config {path!r} must hold a JSON object")
     return data
@@ -204,16 +206,18 @@ def _merge_params(
 def _attach_negative_values(argv: Sequence[str]) -> list[str]:
     """Join ``--flag -1e-5`` into ``--flag=-1e-5``.
 
-    argparse reads ``-1e-5`` or ``-inf`` as an unknown option.  Every flag
-    except ``--help`` takes one value, so a negative token that ``float()``
-    accepts is that flag's value.
+    argparse reads ``-1e-5``, ``-inf`` or ``-1,0`` as an unknown option.  Every
+    flag except ``--help`` takes one value, so a negative token each of whose
+    non-blank comma-separated parts ``float()`` accepts is that flag's value.
     """
     args: list[str] = []
     for token in argv:
         prev = args[-1] if args else ""
         if token.startswith("-") and prev.startswith("--") and prev != "--help":
             try:
-                float(token)
+                for part in token.split(","):
+                    if part.strip():  # _convert skips blank list parts
+                        float(part)
                 args[-1] = f"{prev}={token}"
                 continue
             except ValueError:
@@ -267,7 +271,7 @@ def parse_job(argv: Sequence[str]) -> Job:
 
     output = Path(ns.output) if ns.output else None
     if output is None and "output" in config:
-        output = Path(str(config["output"]))
+        output = Path(_convert("output", _Param("str"), config["output"], f"config[{kind}]"))
     fmt = ns.fmt or config.get("format")
     if fmt is None:
         fmt = "json" if output is not None and output.suffix == ".json" else "csv"

@@ -5,7 +5,8 @@ Each reference sums the same series as a package function, term by term in
 an independent value rather than against a second float evaluation.  One
 reference per certified sum, and the public sum it serves:
 
-- ``decimal_ladder``: ``mean_particle_number`` and one gas column;
+- ``decimal_ladder``: one weighted ladder, the sum of ``mean_particle_number``,
+  of each gas column and of a ladder ``stats.ladder_closing`` closes;
 - ``decimal_fugacity_terms``: the closing of a ladder, ``stats.ladder_closing``;
 - ``decimal_reduced_series``: ``reduced_series``;
 - ``decimal_columns`` and ``decimal_gas``: the gas sums of ``gas_sum``.

@@ -142,22 +142,31 @@ def test_report_rows_are_tuples_of_ints_floats_and_bools(args):
 
 
 @pytest.mark.parametrize(
-    "args, key, value",
+    "args, key, value, code, shown",
     [
-        (["spectrum", "--mu", "-1e-5", "--qmax", "1"], "mu", -1e-5),
-        (["spectrum", "--mu", "-inf", "--qmax", "1"], "mu", -math.inf),
-        (["sweep", "--start", "-1e-3", "--stop", "0", "--steps", "2", "spectrum"], "start", -1e-3),
+        (["spectrum", "--mu", "-1e-5", "--qmax", "1"], "mu", -1e-5, 0, "# mu = -1e-05\n"),
+        (["spectrum", "--mu", "-inf", "--qmax", "1"], "mu", -math.inf, 0, "# mu = -inf\n"),
+        (["sweep", "--start", "-1e-3", "--stop", "0", "--steps", "2", "spectrum"], "start", -1e-3,
+         0, "# start = -0.001\n"),
         (["sweep", "--param", "beta", "--start", "0.5", "--stop", "1",
-          "stats", "--stat", "fermi", "--mu", "-2E+1"], "mu", -20.0),
+          "stats", "--stat", "fermi", "--mu", "-2E+1"], "mu", -20.0, 0, "# mu = -20.0\n"),
+        (["oracle", "--stat", "fermi", "--energies", "-0.5,1.5"], "energies", [-0.5, 1.5],
+         0, "# energies = -0.5,1.5\n"),
+        (["oracle", "--stat", "fermi", "--energies", "-0.5,"], "energies", [-0.5],
+         0, "# energies = -0.5\n"),
+        (["chain", "--count", "2", "--levels", "-1,0"], "levels", [-1, 0],
+         3, "level index must be a non-negative integer, got -1"),
     ],
-    ids=["top-level", "top-level-inf", "sweep-flag", "inner-job-flag"],
+    ids=["top-level", "top-level-inf", "sweep-flag", "inner-job-flag", "list-flag",
+         "list-flag-trailing-comma", "list-flag-library-check"],
 )
-def test_negative_values_with_an_exponent_are_flag_values(args, key, value, capsys):
-    # argparse alone reads "-1e-5" as an unknown option and exits 2.
+def test_negative_values_with_an_exponent_are_flag_values(args, key, value, code, shown, capsys):
+    # argparse alone reads "-1e-5" or "-1,0" as an unknown option and exits 2.
     job = parse_job(args)
     assert {**job.params, **(job.inner.params if job.inner else {})}[key] == value
-    assert main(args) == 0
-    assert f"# {key} = {value!r}\n" in capsys.readouterr().out
+    assert main(args) == code
+    out, err = capsys.readouterr()
+    assert shown in (err if code else out)
 
 
 def test_json_format_mirrors_csv(tmp_path):
@@ -806,6 +815,18 @@ def test_config_output_and_format(tmp_path):
     json.loads(out.read_text())
 
 
+@pytest.mark.parametrize("output", [None, 5, ["a"]], ids=["null", "number", "list"])
+def test_config_output_must_be_a_string(output, tmp_path, monkeypatch, capsys):
+    # str() of the value named a stray file such as ./None, and the job exited 0.
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"output": output}))
+    assert main(["spectrum", "--qmax", "1", "--config", str(cfg)]) == 2
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message == f"config[spectrum] value for 'output' must be a string, got {output!r}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
+
+
 def test_config_missing_file():
     with pytest.raises(UsageError):
         parse_job(["spectrum", "--config", "/nonexistent/path.json"])
@@ -826,6 +847,23 @@ def test_config_int_literal_past_the_digit_limit_is_not_valid_json(tmp_path, cap
     assert main(["stats", "--stat", "fermi", "--config", str(cfg)]) == 2
     message = json.loads(capsys.readouterr().err)["error"]["message"]
     assert message.startswith(f"config {str(cfg)!r} is not valid JSON: ")
+
+
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        (b'{"mu": "\xff"}', "cannot read config {!r}: 'utf-8' codec can't decode"),
+        (b'{"mu": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "config {!r} nests too deeply"),
+    ],
+    ids=["not-utf8", "nested-past-the-recursion-limit"],
+)
+def test_unparsable_config_file_is_a_usage_error(content, expected, tmp_path, capsys):
+    # Both ended in a traceback and exit 1, the code of an unwritable output.
+    cfg = tmp_path / "job.json"
+    cfg.write_bytes(content)
+    assert main(["stats", "--stat", "fermi", "--config", str(cfg)]) == 2
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message.startswith(expected.format(str(cfg)))
 
 
 def test_sweep_inner_job_from_config(tmp_path):
