@@ -47,6 +47,9 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class Job:
+    """A validated job: its kind and parameters, where and how to write it, and a
+    sweep's inner job."""
+
     kind: str
     params: dict[str, Any]
     output: Path | None = None
@@ -59,6 +62,8 @@ class Job:
 
 @dataclass(frozen=True)
 class _Param:
+    """Schema of one job parameter: its type, default and flag help."""
+
     type: str  # float | int | stat | str | int_list | float_list
     default: Any = None
     required: bool = False
@@ -269,9 +274,11 @@ def parse_job(argv: Sequence[str]) -> Job:
             )
         inner = Job(inner_kind, inner_params)
 
-    output = Path(ns.output) if ns.output else None
-    if output is None and "output" in config:
-        output = Path(_convert("output", _Param("str"), config["output"], f"config[{kind}]"))
+    path = ns.output
+    if not path and "output" in config:
+        path = _convert("output", _Param("str"), config["output"], f"config[{kind}]")
+    # An empty path, from the flag or the config, writes to stdout like no path.
+    output = Path(path) if path else None
     fmt = ns.fmt or config.get("format")
     if fmt is None:
         fmt = "json" if output is not None and output.suffix == ".json" else "csv"
@@ -287,6 +294,8 @@ Rows = list[tuple[Any, ...]]
 
 @dataclass
 class Report:
+    """A job's metadata, column names and rows, ready to render."""
+
     metadata: dict[str, Any]
     columns: tuple[str, ...]
     rows: Rows
@@ -501,7 +510,7 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _render_rows(report: Report, template: str, sep: str) -> str:
+def _render_rows(report: Report, template: str, sep: str, for_json: bool = False) -> str:
     """Every row through ``template`` (one ``%r`` per column), joined by ``sep``.
 
     The rows are formatted in one pass: ``template`` repeated once per row
@@ -514,11 +523,23 @@ def _render_rows(report: Report, template: str, sep: str) -> str:
 
     A runner's cells are exact ints, floats and bools.  ``%r`` spells ints
     and floats the way both formats need; bools are then respelled
-    ``true``/``false``, which no numeric repr contains.
+    ``true``/``false``, which no numeric repr contains.  ``for_json`` also
+    respells non-finite floats as ``json.dumps`` writes them: ``NaN`` and
+    ``(-)Infinity``, where ``%r`` writes ``nan`` and ``(-)inf``.
+
+    Each respelling scans the whole text, so it runs only when some cell
+    needs it: one pass over the cell types finds a bool, and a NaN or an
+    infinity makes the plain ``sum`` of the cells non-finite.  A sum that
+    overflows on finite cells only costs needless scans, and the int cells
+    (loop indices) lie far inside the float range that ``sum`` needs.
     """
     cells = tuple(itertools.chain.from_iterable(report.rows))
     text = sep.join([template] * len(report.rows)) % cells
-    return text.replace("True", "true").replace("False", "false")
+    if bool in set(map(type, cells)):
+        text = text.replace("True", "true").replace("False", "false")
+    if for_json and not math.isfinite(sum(cells)):
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
 
 
 def render_csv(report: Report) -> str:
@@ -546,8 +567,7 @@ def render_json(report: Report) -> str:
     )
     cell = "\n      "  # a row cell sits three levels (2 spaces each) deep
     template = "    [" + cell + ("," + cell).join(["%r"] * len(report.columns)) + "\n    ]"
-    # Only a non-finite float spells "nan" or "inf"; json.dumps writes NaN and (-)Infinity.
-    rows = _render_rows(report, template, ",\n").replace("nan", "NaN").replace("inf", "Infinity")
+    rows = _render_rows(report, template, ",\n", for_json=True)
     body = ("[\n", rows, "\n  ]") if report.rows else ("[]",)
     # head ends in "\n}", which closes the payload after "rows" instead.  One
     # join copies the rows text once; chained + would copy it at every step.

@@ -114,6 +114,8 @@ class BoseConditionRow:
 
 @dataclass(frozen=True)
 class BoseConditionReport:
+    """Per-``k`` rows of ``bose_gas_condition`` and their summary flags."""
+
     rows: tuple[BoseConditionRow, ...]
     all_extended: bool
     all_classic: bool

@@ -102,10 +102,13 @@ def enumerate_configurations(
         yield Configuration(counts)
 
 
-# Most configurations whose weights the oracle holds at once.  A block is one
-# head configuration with every tail configuration, or with one slice of
-# ``_BLOCK`` counts of a last mode that alone has more.
+# Most configurations in one block.  A block is one head configuration with
+# every tail configuration, or with one slice of ``_BLOCK`` counts of a last
+# mode that alone has more.  The walk holds the weights of up to ``_GROUP``
+# blocks before it folds them into the column, so it keeps at most
+# ``_GROUP * _BLOCK`` weights at once besides the exponent tables.
 _BLOCK = 256
+_GROUP = 64
 
 _Table = list[list[float]]
 _Counts = tuple[int, ...]
@@ -205,14 +208,21 @@ def gc_average_occupation(
     weights are added by ``math.fsum`` into the block total; the
     normalisation adds up the totals, and each occupied head mode
     ``n_i * total``, in block order.  The weights are also added,
-    position by position, into one column of at most ``_BLOCK`` running
-    sums, and each tail mode's sum is ``math.fsum`` of ``n_j`` times that
-    column.  A last mode of more than ``_BLOCK`` counts is walked in
-    slices of ``_BLOCK``: the slice that starts at count ``a`` adds
-    ``a * total`` to that mode, like a head count, and its counts within
-    the slice go through the column.  So a space of at most ``_BLOCK``
-    configurations gets ``fsum(n_i * w) / fsum(w)`` exactly, and a larger
-    one adds one rounding per block to each sum.
+    position by position and in block order, into one column of at most
+    ``_BLOCK`` running sums, and each tail mode's sum is ``math.fsum`` of
+    ``n_j`` times that column.  The walk holds the weights of up to
+    ``_GROUP`` blocks and then folds them in at once: each column entry
+    becomes the built-in ``sum`` of itself and that position's weight of
+    each held block, a short last slice counting as exact zeros.  Before
+    Python 3.12 ``sum`` adds floats left to right with plain double adds,
+    the same bits as adding one block at a time; from 3.12 on it
+    compensates its adds, which only shrinks their rounding.  A last mode
+    of more than ``_BLOCK`` counts is walked in slices of ``_BLOCK``: the
+    slice that starts at count ``a`` adds ``a * total`` to that mode, like
+    a head count, and its counts within the slice go through the column.
+    So a space of at most ``_BLOCK`` configurations gets
+    ``fsum(n_i * w) / fsum(w)`` exactly, and a larger one adds one rounding
+    per block to each sum.
 
     Raises
     ------
@@ -246,24 +256,31 @@ def gc_average_occupation(
     top = nb * min(prefixes)
     parts = [(a, [nb * v for v in _expand([0.0], rows)]) for a, rows in slices]
     top_tail = max(max(u) for _, u in parts)
-    parts = [(a, [s - top_tail for s in u]) for a, u in parts]
+    # A short last slice is padded with exact zeros to the column's length.
+    parts = [(a, [s - top_tail for s in u], [0.0] * (len(tails) - len(u))) for a, u in parts]
     exp, fsum, last = math.exp, math.fsum, len(table) - 1
     norm = 0.0
     sums = [0.0] * len(table)
     column = [0.0] * len(tails)
+    group: list[list[float]] = []
     for head, v in zip(heads, prefixes):
         c = nb * v - top
-        for a, u in parts:
+        for a, u, pad in parts:
             ws = [exp(c + s) for s in u]
             total = fsum(ws)
             norm += total
-            # Slice assignment keeps the column's end past a short last slice.
-            column[:len(ws)] = map(operator.add, column, ws)
             for i, n in enumerate(head):
                 if n:
                     sums[i] += n * total
             if a:
                 sums[last] += a * total
+            if pad:
+                ws += pad
+            group.append(ws)
+            if len(group) == _GROUP:
+                column = list(map(sum, zip(column, *group)))
+                group.clear()
+    column = list(map(sum, zip(column, *group)))
     for j, counts in enumerate(zip(*tails), last + 1 - len(tails[0])):
         sums[j] += fsum(map(operator.mul, counts, column))
     return tuple(s / norm for s in sums)

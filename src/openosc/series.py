@@ -304,6 +304,8 @@ def quartic_reciprocal_tail(a: int) -> float:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One estimate check: whether ``observed`` met ``bound``, and where it was tightest."""
+
     name: str
     passed: bool
     observed: float
@@ -313,6 +315,8 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class EstimateReport:
+    """The checks of ``verify_series_estimates``; it passes when all of them do."""
+
     checks: tuple[CheckResult, ...]
 
     @property

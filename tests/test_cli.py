@@ -815,6 +815,25 @@ def test_config_output_and_format(tmp_path):
     json.loads(out.read_text())
 
 
+@pytest.mark.parametrize("args, config", [
+    (["-o", ""], None),
+    ([], {"output": ""}),
+], ids=["flag", "config"])
+def test_empty_output_path_writes_to_stdout(args, config, tmp_path, monkeypatch, capsys):
+    # A config's "" became Path(""), i.e. ".", and the job exited 1 with
+    # IsADirectoryError, the code of an unwritable output.
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "job.json").write_text(json.dumps(config))
+        args = args + ["--config", "job.json"]
+    assert main(["spectrum", "--qmax", "1"]) == 0
+    expected = capsys.readouterr().out
+    assert parse_job(["spectrum", "--qmax", "1", *args]).output is None
+    assert main(["spectrum", "--qmax", "1", *args]) == 0
+    assert capsys.readouterr().out == expected
+    assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["job.json"])
+
+
 @pytest.mark.parametrize("output", [None, 5, ["a"]], ids=["null", "number", "list"])
 def test_config_output_must_be_a_string(output, tmp_path, monkeypatch, capsys):
     # str() of the value named a stray file such as ./None, and the job exited 0.

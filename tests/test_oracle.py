@@ -14,6 +14,7 @@ its block count and the association of its exponents.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,7 +37,7 @@ from openosc import (
     occupation_number,
     per_mode_limit,
 )
-from openosc.oracle import _BLOCK
+from openosc.oracle import _BLOCK, _GROUP
 
 BOSE = StatisticsKind.BOSE
 FERMI = StatisticsKind.FERMI
@@ -446,6 +447,31 @@ def test_walk_matches_reference_bit_for_bit(case):
 def test_walk_slices_a_long_last_mode_bit_for_bit(n, cutoff):
     # A mode with more counts than one block holds is walked in slices.
     _check_same_as_reference([0.02 * (q + 1) for q in range(n)], BOSE, cutoff, 0.9, 0.01)
+
+
+@pytest.mark.parametrize("es, kind, cutoff, beta, mu, blocks, bits", [
+    ([q + 0.5 for q in range(4)], BOSE, 8, 0.7, 0.3, 81, [
+        "0x1.8b9df90ac89e3p+1", "0x1.828c3f965850cp-1", "0x1.176c121982248p-2",
+        "0x1.e801a3fc04476p-4"]),
+    ([q + 0.5 for q in range(15)], FERMI, 1, 1.0, 3.1, 2 * _GROUP, [
+        "0x1.dc99e39374d9ep-1", "0x1.a9fe5053a451fp-1", "0x1.4a93769f6453ep-1",
+        "0x1.9af19f3d3169bp-2", "0x1.95209d0a1a2e0p-3", "0x1.54ace4b5c8d41p-4",
+        "0x1.08907f960c057p-5", "0x1.8d6cafcdf7a5dp-7", "0x1.26aaf22e1caa8p-8",
+        "0x1.b2d8418f46d35p-10", "0x1.4046d6f6ee8c5p-11", "0x1.d779959fb29d7p-13",
+        "0x1.5af0f115ef8c4p-14", "0x1.fe8e8aa9db0aap-16", "0x1.77a767e7f0391p-17"]),
+    ([0.02, 0.04], BOSE, 300, 0.9, 0.01, 2 * 301, [
+        "0x1.6488f02224ab9p+6", "0x1.239a464006c58p+5"]),
+], ids=["bose-81-blocks", "fermi-two-groups", "sliced-short-last-slice"])
+def test_grouped_column_fold_keeps_the_block_by_block_bits(es, kind, cutoff, beta, mu, blocks, bits):
+    # The walk folds the weights of up to _GROUP blocks into the column at once
+    # with built-in sum.  Before Python 3.12 that is the plain adds of one block
+    # at a time, so the bits frozen from the block-by-block walk stay; from 3.12
+    # on sum compensates, and the rounding bound of a larger space still holds.
+    assert _block_count([per_mode_limit(kind, cutoff) + 1] * len(es)) == blocks
+    means = gc_average_occupation(ModeSet(tuple(es)), Thermo(beta, mu), kind, cutoff)
+    if sys.version_info < (3, 12):
+        assert [m.hex() for m in means] == bits
+    _check_same_as_reference(es, kind, cutoff, beta, mu)
 
 
 @pytest.mark.parametrize("es, kind, cutoff", [
