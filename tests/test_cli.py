@@ -828,7 +828,6 @@ def test_empty_output_path_writes_to_stdout(args, config, tmp_path, monkeypatch,
         args = args + ["--config", "job.json"]
     assert main(["spectrum", "--qmax", "1"]) == 0
     expected = capsys.readouterr().out
-    assert parse_job(["spectrum", "--qmax", "1", *args]).output is None
     assert main(["spectrum", "--qmax", "1", *args]) == 0
     assert capsys.readouterr().out == expected
     assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["job.json"])

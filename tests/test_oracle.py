@@ -388,10 +388,14 @@ def _rounding_bound(weights, a_max, i, m, beta, blocks):
     normalisation then adds ``blocks`` totals, a head mode ``blocks``
     products ``n * total``, a column entry one weight per block before its
     product and ``fsum``; a sliced last mode adds ``a * total`` per slice
-    and the ``fsum`` of its column.  So the oracle's numerator is within
-    ``gamma(blocks + 2)`` and its normalisation within ``gamma(blocks)``;
-    the target's numerator (products and ``fsum``) within ``gamma(2)``, its
-    normalisation within ``U``.  Each division rounds once more.
+    and the ``fsum`` of its column.  The column is folded in groups of
+    blocks with built-in ``sum``: before Python 3.12 those are the same
+    plain adds, one weight per block, and from 3.12 on ``sum`` compensates
+    them, so one rounding per block is still an upper bound.  So the
+    oracle's numerator is within ``gamma(blocks + 2)`` and its
+    normalisation within ``gamma(blocks)``; the target's numerator
+    (products and ``fsum``) within ``gamma(2)``, its normalisation within
+    ``U``.  Each division rounds once more.
     """
     num = math.fsum(c[i] * w for c, _, w in weights)
     den = math.fsum(w for _, _, w in weights)
