@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError, spell
 from .spectra import OccupationState, OscillatorParams, check_integer, check_scale, level_index
@@ -110,8 +110,7 @@ def chain_effective_energy(a: ChainAssignment, mu: float, ch: ChainParams) -> fl
     return _fsum(terms, "chain effective energy")
 
 
-@dataclass(frozen=True)
-class GroupedFormResult:
+class GroupedFormResult(NamedTuple):
     """Literal grouped evaluation next to the canonical one."""
 
     value: float

@@ -17,9 +17,8 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .chain import (
     ChainAssignment,
@@ -45,8 +44,7 @@ class UsageError(Exception):
     """Malformed invocation or config; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class Job:
+class Job(NamedTuple):
     """A validated job: its kind and parameters, where and how to write it, and a
     sweep's inner job."""
 
@@ -60,8 +58,7 @@ class Job:
 # --- parameter schema --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Param:
+class _Param(NamedTuple):
     """Schema of one job parameter: its type, default and flag help."""
 
     type: str  # float | int | stat | str | int_list | float_list
@@ -143,7 +140,15 @@ def _add_io_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every kind is listed, but only those named in it get arguments.
+
+    argparse selects a subparser only by a token equal to its name, so a
+    kind whose name is not among the tokens can never parse anything, and
+    its arguments would only cost start-up.  A name that appears as a value
+    (``--param stats``) merely builds one subparser too many.
+    """
+    named = set(argv)
     parser = argparse.ArgumentParser(
         prog="openosc",
         description="Effective spectra and occupation statistics of open oscillator systems.",
@@ -151,14 +156,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="kind", required=True)
     for kind, spec in _KINDS.items():
         p = sub.add_parser(kind, help=spec.help)
-        _add_kind_args(p, spec.params)
-        _add_io_args(p)
+        if kind in named:
+            _add_kind_args(p, spec.params)
+            _add_io_args(p)
     sweep = sub.add_parser("sweep", help="repeat an inner job over a parameter grid")
-    _add_kind_args(sweep, _SWEEP_PARAMS)
-    _add_io_args(sweep)
-    inner = sweep.add_subparsers(dest="inner_kind")
-    for kind, spec in _KINDS.items():
-        _add_kind_args(inner.add_parser(kind), spec.params)
+    if "sweep" in named:
+        _add_kind_args(sweep, _SWEEP_PARAMS)
+        _add_io_args(sweep)
+        inner = sweep.add_subparsers(dest="inner_kind")
+        for kind, spec in _KINDS.items():
+            q = inner.add_parser(kind)
+            if kind in named:
+                _add_kind_args(q, spec.params)
     return parser
 
 
@@ -239,9 +248,9 @@ def parse_job(argv: Sequence[str]) -> Job:
     out of range.  Every other precondition, count, max_terms and cutoff
     included, is the library's to check; it surfaces from run_job.
     """
-    parser = _build_parser()
+    args = _attach_negative_values(argv)
     try:
-        ns = parser.parse_args(_attach_negative_values(argv))
+        ns = _build_parser(args).parse_args(args)
     except SystemExit as exc:
         if exc.code == 0:
             raise
@@ -275,7 +284,7 @@ def parse_job(argv: Sequence[str]) -> Job:
         inner = Job(inner_kind, inner_params)
 
     path = ns.output
-    if not path and "output" in config:
+    if path is None and "output" in config:  # even an empty -o beats the config
         path = _convert("output", _Param("str"), config["output"], f"config[{kind}]")
     # An empty path, from the flag or the config, writes to stdout like no path.
     output = Path(path) if path else None
@@ -292,8 +301,7 @@ def parse_job(argv: Sequence[str]) -> Job:
 Rows = list[tuple[Any, ...]]
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """A job's metadata, column names and rows, ready to render."""
 
     metadata: dict[str, Any]
@@ -403,8 +411,7 @@ def _run_oracle(params: dict[str, Any]) -> tuple[dict[str, Any], Rows]:
     return {"cutoff": cutoff, "energies": list(modes.energies)}, rows
 
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(NamedTuple):
     """The one declaration of a job kind; parser, config merge and run_job read it."""
 
     help: str

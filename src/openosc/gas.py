@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .spectra import (
     OccupationState, OscillatorParams, check_integer, check_mu, check_scale, finite_energy,
@@ -102,8 +103,7 @@ def q_min_gas(mu: float, k: int, g: GasParams) -> float:
     return (mu - translational_energy(k, g)) / g.osc.quantum - 0.5
 
 
-@dataclass(frozen=True)
-class BoseConditionRow:
+class BoseConditionRow(NamedTuple):
     """Validity of the two Bose chemical-potential conditions at one ``k``."""
 
     k: int
@@ -112,8 +112,7 @@ class BoseConditionRow:
     gap: bool  # extended holds while classic fails
 
 
-@dataclass(frozen=True)
-class BoseConditionReport:
+class BoseConditionReport(NamedTuple):
     """Per-``k`` rows of ``bose_gas_condition`` and their summary flags."""
 
     rows: tuple[BoseConditionRow, ...]

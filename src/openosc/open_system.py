@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .spectra import (
     OccupationState, OscillatorParams, check_integer, check_mu, level_index,
@@ -56,8 +56,7 @@ def is_accessible(q: int, mu: float, p: OscillatorParams) -> bool:
     return level_index(q) > q_min_vibrational(mu, p)
 
 
-@dataclass(frozen=True)
-class AccessibleSet:
+class AccessibleSet(NamedTuple):
     """Accessibility survey of levels ``0..q_max``.
 
     ``accessible`` holds levels with ``hbar*omega_eff > 0``; ``boundary``
@@ -92,8 +91,7 @@ def effective_energy_vibrational(
     return math.fsum(effective_frequency(q, mu, p) * n for q, n in occ.items())
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(NamedTuple):
     """Outcome of a strict-positivity check of the effective energy."""
 
     positive: bool

@@ -12,7 +12,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ChemicalPotentialError, DomainError, EnumerationLimitError, spell
 from .spectra import OscillatorParams, check_integer, mode_energy
@@ -56,8 +56,7 @@ class ModeSet:
         return len(self.energies)
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """Occupation counts per mode, aligned with a ModeSet."""
 
     counts: tuple[int, ...]
@@ -286,8 +285,7 @@ def gc_average_occupation(
     return tuple(s / norm for s in sums)
 
 
-@dataclass(frozen=True)
-class GroundStateResult:
+class GroundStateResult(NamedTuple):
     """Minimiser of the effective energy over the enumerated space."""
 
     bounded: bool

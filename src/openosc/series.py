@@ -31,12 +31,10 @@ checked against.
 
 from __future__ import annotations
 
-import decimal
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -302,8 +300,7 @@ def quartic_reciprocal_tail(a: int) -> float:
     return float(np.sum(rs**-4.0)) + 1.0 / (3.0 * r_stop**3)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One estimate check: whether ``observed`` met ``bound``, and where it was tightest."""
 
     name: str
@@ -313,8 +310,7 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(NamedTuple):
     """The checks of ``verify_series_estimates``; it passes when all of them do."""
 
     checks: tuple[CheckResult, ...]
@@ -328,18 +324,21 @@ _ZETA_DENOMS = {4: 90, 6: 945, 8: 9450}
 
 # pi to 50 decimals; the p = 8 remainder at R = 1000 is ~1.4e-22, far below
 # double rounding of a sum of order one, so this comparison must run in
-# extended precision to mean anything.
-_PI_50 = decimal.Decimal("3.14159265358979323846264338327950288419716939937510")
+# extended precision to mean anything.  ``decimal`` is imported by the one
+# function that needs it, so importing the package does not load it.
+_PI_50 = "3.14159265358979323846264338327950288419716939937510"
 
 
 def _zeta_partial_gap(p: int, terms: int) -> tuple[float, float]:
     """(|closed form - partial sum|, integral remainder bound) for sum r^-p."""
+    import decimal
+
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         partial = sum(
             decimal.Decimal(1) / decimal.Decimal(r) ** p for r in range(1, terms + 1)
         )
-        target = _PI_50**p / _ZETA_DENOMS[p]
+        target = decimal.Decimal(_PI_50) ** p / _ZETA_DENOMS[p]
         gap = abs(target - partial)
         bound = decimal.Decimal(1) / ((p - 1) * decimal.Decimal(terms) ** (p - 1))
     return float(gap), float(bound)

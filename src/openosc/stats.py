@@ -26,7 +26,7 @@ import math
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Generator, Iterator, Sequence
+from typing import Generator, Iterator, NamedTuple, Sequence
 
 from .errors import ChemicalPotentialError, DomainError
 from .gas import GasParams, joint_energy, q_min_gas
@@ -369,8 +369,7 @@ def _fugacity_terms(
         yield -term if fermi and not j & 1 else term
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     """Pointwise agreement of occupation validity with the access threshold."""
 
     agreed: bool

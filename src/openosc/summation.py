@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .spectra import check_integer, check_scale
 
@@ -68,8 +68,7 @@ class TruncationPolicy:
 _DEFAULT_POLICY = TruncationPolicy()
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
     """Partial sum plus the certificate that justifies (or denies) it."""
 
     value: float

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -647,6 +648,53 @@ def test_library_calls_are_looked_up_at_call_time(monkeypatch, capsys):
     assert calls == {"mean_particle_number": 4, "reduced_series": 1, "gc_average_occupation": 1}
 
 
+IO_FLAGS = {"--config", "--output", "--format"}
+
+
+def help_flags(argv, capsys):
+    """The ``--flags`` that ``openosc <argv> --help`` names; it must exit 0."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+
+
+def kind_flags(params):
+    return {"--" + name.replace("_", "-") for name in params}
+
+
+# The parser gives arguments only to the subparsers argv names, so each help
+# page is checked on its own.  Only flag and kind names are asserted: the
+# wording of argparse's help differs between Python versions.
+@pytest.mark.parametrize("kind", sorted(cli._KINDS))
+def test_each_kind_help_names_its_flags(kind, capsys):
+    assert help_flags([kind], capsys) >= kind_flags(cli._KINDS[kind].params) | IO_FLAGS
+
+
+def test_sweep_help_names_its_flags(capsys):
+    assert help_flags(["sweep"], capsys) >= kind_flags(cli._SWEEP_PARAMS) | IO_FLAGS
+
+
+@pytest.mark.parametrize("kind", sorted(cli._KINDS))
+def test_sweep_inner_help_names_the_inner_flags(kind, capsys):
+    # The io flags belong to the sweep itself, not to its inner job.
+    argv = ["sweep", "--param", "mu", "--start", "0", "--stop", "1", kind]
+    assert help_flags(argv, capsys) >= kind_flags(cli._KINDS[kind].params)
+
+
+def test_top_level_help_names_every_kind(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    names = set(re.findall(r"^ +([a-z]+) {2,}", out, flags=re.MULTILINE))
+    assert names >= {"spectrum", "gas", "chain", "stats", "bounds", "oracle", "sweep"}
+    # Each kind's help text, however argparse wraps it.
+    text = "".join(out.split())
+    for spec in cli._KINDS.values():
+        assert "".join(spec.help.split()) in text
+
+
 def test_sweep_needs_numeric_parameter():
     with pytest.raises(UsageError):
         parse_job(["sweep", "--param", "stat", "--start", "0", "--stop", "1",
@@ -818,10 +866,12 @@ def test_config_output_and_format(tmp_path):
 @pytest.mark.parametrize("args, config", [
     (["-o", ""], None),
     ([], {"output": ""}),
-], ids=["flag", "config"])
+    (["-o", ""], {"output": "x.csv"}),
+], ids=["flag", "config", "flag-over-config"])
 def test_empty_output_path_writes_to_stdout(args, config, tmp_path, monkeypatch, capsys):
     # A config's "" became Path(""), i.e. ".", and the job exited 1 with
-    # IsADirectoryError, the code of an unwritable output.
+    # IsADirectoryError, the code of an unwritable output.  An empty -o is a
+    # flag like any other, so it beats the config's output.
     monkeypatch.chdir(tmp_path)
     if config is not None:
         (tmp_path / "job.json").write_text(json.dumps(config))

@@ -1,10 +1,15 @@
 """The package namespace re-exports exactly what its modules declare public,
 its source and tests hold no unused import, and its source no dead module-level
-helper."""
+helper; its result records are immutable tuples."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import openosc
 
@@ -59,6 +64,7 @@ def parsed(directory, prefix=""):
             for path in sorted(directory.glob("*.py"))}
 
 
+SRC = str(Path(openosc.__file__).resolve().parents[1])
 SOURCES = parsed(Path(openosc.__file__).parent)
 TESTS = parsed(Path(__file__).parent, "tests/")
 
@@ -141,3 +147,74 @@ def test_every_class_has_its_own_docstring():
         if isinstance(node, ast.ClassDef) and ast.get_docstring(node) is None
     ]
     assert not bare
+
+
+# --- the result records ----------------------------------------------------------
+
+
+def _records():
+    """One factory per result record; each call builds a new, equal record."""
+    from openosc import cli
+
+    osc = openosc.OscillatorParams()
+    fermi = openosc.StatisticsKind.FERMI
+    check = openosc.CheckResult("zeta-partial-p4", True, 1e-10, 3e-10, "tightest at k=1")
+    job = ["spectrum", "--qmax", "1"]
+    return {
+        "SeriesResult": lambda: openosc.reduced_series(0.4, openosc.StatisticsKind.BOSE),
+        "ThresholdReport": lambda: openosc.bose_threshold_equivalence(
+            0.3, openosc.GasParams.reduced(), 2, 3),
+        "Configuration": lambda: openosc.Configuration((1, 0, 2)),
+        "GroundStateResult": lambda: openosc.ground_state_search(
+            openosc.ModeSet((0.5, 1.5)), 1.0, fermi),
+        "CheckResult": lambda: openosc.CheckResult(*check),
+        "EstimateReport": lambda: openosc.EstimateReport((check, check)),
+        "BoseConditionRow": lambda: openosc.bose_gas_condition(
+            0.3, openosc.GasParams.reduced(), 1).rows[0],
+        "BoseConditionReport": lambda: openosc.bose_gas_condition(
+            0.3, openosc.GasParams.reduced(), 1),
+        "AccessibleSet": lambda: openosc.accessible_set(1.5, osc, 4),
+        "PositivityReport": lambda: openosc.positivity_check(
+            openosc.OccupationState.from_levels((0, 2)), 0.2, osc),
+        "GroupedFormResult": lambda: openosc.grouped_form_energy(
+            openosc.ChainAssignment((0, 0, 1)), 0.2, openosc.ChainParams(3, osc, 0.25)),
+        "Job": lambda: cli.parse_job(job),
+        "Report": lambda: cli.run_job(cli.parse_job(job)),
+    }
+
+
+RECORDS = _records()
+# A job and a report hold their parameters and metadata in a dict.
+UNHASHABLE = {"Job", "Report"}
+
+
+def test_every_result_record_is_listed():
+    # Every public NamedTuple of the package, and the CLI's two, has a factory above.
+    records = {name for name in openosc.__all__
+               if hasattr(getattr(openosc, name), "_fields")}
+    assert records | {"Job", "Report"} == set(RECORDS)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_result_records_are_immutable_values(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    for field in record._fields + ("not_a_field",):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+    twin = RECORDS[name]()
+    assert twin is not record and twin == record
+    if name not in UNHASHABLE:
+        assert hash(twin) == hash(record)
+    # They are tuples: they unpack, and equal the plain tuple of their fields.
+    assert record == tuple(getattr(record, field) for field in record._fields)
+    fields = ", ".join(f"{field}={getattr(record, field)!r}" for field in record._fields)
+    assert repr(record) == f"{name}({fields})"
+
+
+def test_importing_the_cli_leaves_decimal_unloaded():
+    # Only series._zeta_partial_gap needs decimal, and it imports it itself.
+    code = "import sys, openosc.cli; print('decimal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC}).stdout
+    assert out.strip() == "False"
