@@ -17,11 +17,15 @@ discrepancy stays observable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import DomainError, spell
-from .spectra import OccupationState, OscillatorParams, check_integer, check_scale, level_index
+from .spectra import (
+    OccupationState, OscillatorParams, check_integer, check_scale, checked_fsum, finite_energy,
+    level_index,
+)
 
 __all__ = [
     "ChainParams",
@@ -46,6 +50,12 @@ class ChainParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "count", check_integer("count", self.count, 1))
         check_scale("coupling", self.coupling, zero_ok=True)
+        # The top mode, s nearest N/2, can overflow where hbar*omega and the
+        # coupling are fine.  No list holds the modes of a longer chain.
+        n = self.count
+        if n <= sys.maxsize:
+            top = max(_frequency(self, s) for s in {n // 2, (n + 1) // 2} - {0})
+            check_scale("hbar*omega_s", self.osc.hbar * top)
 
 
 @dataclass(frozen=True)
@@ -78,36 +88,36 @@ def _check_assignment(a: ChainAssignment, ch: ChainParams) -> None:
         )
 
 
-def _fsum(terms: Iterable[float], what: str) -> float:
-    """``math.fsum(terms)``; where its finite partial sums overflow, a ``DomainError``."""
-    try:
-        return math.fsum(terms)
-    except OverflowError:
-        raise DomainError(f"{what} overflows the float range") from None
+def _mode_energy(s: int, q: int, freqs: list[float], ch: ChainParams) -> float:
+    """``hbar*omega_s*(q + 1/2)`` of mode ``s`` at level ``q``; ``DomainError`` where it is inf."""
+    return finite_energy(ch.osc.hbar * freqs[s - 1] * (q + 0.5), "(s, q)", (s, q))
+
+
+def _frequency(ch: ChainParams, s: int) -> float:
+    """Normal-mode frequency ``omega * sqrt(1 + 4c sin^2(pi*s/N))`` of mode ``s``."""
+    stiffening = 4.0 * ch.coupling * math.sin(math.pi * s / ch.count) ** 2
+    return ch.osc.omega * math.sqrt(1.0 + stiffening)
 
 
 def chain_frequencies(ch: ChainParams) -> list[float]:
-    """Normal-mode frequencies ``omega * sqrt(1 + 4c sin^2(pi*s/N))``, ``s = 1..N``."""
-    n = ch.count
-    return [
-        ch.osc.omega * math.sqrt(1.0 + 4.0 * ch.coupling * math.sin(math.pi * s / n) ** 2)
-        for s in range(1, n + 1)
-    ]
+    """Normal-mode frequencies ``omega_s``, ``s = 1..N``."""
+    return [_frequency(ch, s) for s in range(1, ch.count + 1)]
 
 
 def chain_energy(a: ChainAssignment, ch: ChainParams) -> float:
     """Canonical energy ``sum_s hbar*omega_s*(q_s + 1/2)``."""
     _check_assignment(a, ch)
     freqs = chain_frequencies(ch)
-    return _fsum((ch.osc.hbar * w * (q + 0.5) for w, q in zip(freqs, a.levels)), "chain energy")
+    terms = (_mode_energy(s, q, freqs, ch) for s, q in enumerate(a.levels, 1))
+    return checked_fsum(terms, "chain energy")
 
 
 def chain_effective_energy(a: ChainAssignment, mu: float, ch: ChainParams) -> float:
     """Per-mode effective sum ``sum_s [hbar*omega_s*(q_s + 1/2) - mu]``."""
     _check_assignment(a, ch)
     freqs = chain_frequencies(ch)
-    terms = (ch.osc.hbar * w * (q + 0.5) - mu for w, q in zip(freqs, a.levels))
-    return _fsum(terms, "chain effective energy")
+    terms = (_mode_energy(s, q, freqs, ch) - mu for s, q in enumerate(a.levels, 1))
+    return checked_fsum(terms, "chain effective energy")
 
 
 class GroupedFormResult(NamedTuple):
@@ -133,7 +143,7 @@ def grouped_form_energy(
     groups = a.level_groups()
     value = 0.0
     for q, members in sorted(groups.items()):
-        group_sum = _fsum((ch.osc.hbar * freqs[s - 1] * (q + 0.5) for s in members), "group energy")
+        group_sum = checked_fsum((_mode_energy(s, q, freqs, ch) for s in members), "group energy")
         value += group_sum * len(members)
     value -= mu * len(a.levels)
     canonical = chain_effective_energy(a, mu, ch)
@@ -152,5 +162,5 @@ def q_min_chain(mu: float, q: int, a: ChainAssignment, ch: ChainParams) -> float
     if q not in groups:
         raise DomainError(f"no mode is assigned ladder index {spell(q)}")
     freqs = chain_frequencies(ch)
-    denom = _fsum((ch.osc.hbar * freqs[s - 1] for s in groups[q]), "group frequency sum")
+    denom = checked_fsum((ch.osc.hbar * freqs[s - 1] for s in groups[q]), "group frequency sum")
     return mu / denom - 0.5

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .spectra import (
-    OccupationState, OscillatorParams, check_integer, check_mu, check_scale, finite_energy,
-    level_index, mode_energy,
+    OccupationState, OscillatorParams, check_integer, check_mu, check_scale, checked_fsum,
+    finite_energy, level_index, mode_energy,
 )
 
 __all__ = [
@@ -94,7 +94,8 @@ class GasOccupationState(OccupationState):
 def effective_energy_gas(occ: GasOccupationState, mu: float, g: GasParams) -> float:
     """Effective energy ``sum_{k,q} [eps_k + hbar*omega*(q+1/2) - mu] * n_{k,q}``."""
     occ.validate()
-    return math.fsum((joint_energy(k, q, g) - mu) * n for (k, q), n in occ.items())
+    terms = ((joint_energy(k, q, g) - mu) * n for (k, q), n in occ.items())
+    return checked_fsum(terms, "gas effective energy")
 
 
 def q_min_gas(mu: float, k: int, g: GasParams) -> float:

@@ -11,11 +11,10 @@ mode costs nothing to populate and is not a confined excitation.
 from __future__ import annotations
 
 import enum
-import math
 from typing import NamedTuple
 
 from .spectra import (
-    OccupationState, OscillatorParams, check_integer, check_mu, level_index,
+    OccupationState, OscillatorParams, check_integer, check_mu, checked_fsum, level_index,
     mode_energy,
 )
 
@@ -88,7 +87,8 @@ def effective_energy_vibrational(
 ) -> float:
     """Grand-canonical effective energy ``sum_q [hbar*omega*(q+1/2) - mu] * n_q``."""
     occ.validate()
-    return math.fsum(effective_frequency(q, mu, p) * n for q, n in occ.items())
+    terms = (effective_frequency(q, mu, p) * n for q, n in occ.items())
+    return checked_fsum(terms, "effective energy")
 
 
 class PositivityReport(NamedTuple):

@@ -8,11 +8,12 @@ in the package have something dumb and trustworthy to be checked against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import ChemicalPotentialError, DomainError, EnumerationLimitError, spell
 from .spectra import OscillatorParams, check_integer, mode_energy
@@ -119,7 +120,11 @@ def _exponent_table(modes: ModeSet, mu: float, limit: int, scale: float) -> _Tab
 
     Raises ``DomainError`` when ``scale`` times some entry is not finite:
     such an exponent gives no weight, and ``inf * 0`` would turn every
-    unoccupied count into NaN.
+    unoccupied count into NaN.  Also when ``scale`` times the deepest
+    configuration's sum is not finite: each row's last entry if negative,
+    else 0.0, added with plain float adds in mode order, as both walks add a
+    configuration's entries.  Float adds round monotonically, so no
+    configuration's sum lies lower.
     """
     table = [[(e - mu) * n for n in range(limit + 1)] for e in modes.energies]
     bad = [i for i, row in enumerate(table) if not all(math.isfinite(scale * s) for s in row)]
@@ -128,6 +133,9 @@ def _exponent_table(modes: ModeSet, mu: float, limit: int, scale: float) -> _Tab
             f"exponent {scale!r}*(energy - mu)*n is not finite at mode index "
             f"{bad} for mu = {mu!r}"
         )
+    deepest = scale * functools.reduce(operator.add, (min(0.0, row[-1]) for row in table), 0.0)
+    if not math.isfinite(deepest):
+        raise DomainError(f"deepest configuration's exponent overflows: {deepest!r} at mu = {mu!r}")
     return table
 
 
@@ -170,13 +178,6 @@ def _split(table: _Table) -> tuple[Iterator[_Counts], list[float], _Slices, list
         slices = [(a, [row[a:a + _BLOCK]]) for a in range(0, size, _BLOCK)]
     tails = list(itertools.product(*(range(min(len(row), _BLOCK)) for row in tail_rows)))
     return heads, _expand([0.0], head_rows), slices, tails
-
-
-def _fold(total: float, terms: Iterable[float]) -> float:
-    """``total`` plus each term in turn: plain left-to-right float adds."""
-    for x in terms:
-        total += x
-    return total
 
 
 def gc_average_occupation(
@@ -231,8 +232,9 @@ def gc_average_occupation(
     EnumerationLimitError
         When the space exceeds ``CONFIGURATION_CAP`` configurations.
     DomainError
-        When some ``beta*(e_i - mu)*n`` or the largest exponent is not
-        finite, so that weights would be NaN.
+        When some ``beta*(e_i - mu)*n``, or ``beta`` times the deepest
+        configuration's sum of them, is not finite, so that weights would
+        be NaN.
     """
     if kind is StatisticsKind.BOSE:
         bad = [i for i, e in enumerate(modes.energies) if not e - t.mu > 0.0]
@@ -242,29 +244,22 @@ def gc_average_occupation(
                 "beta*(energy - mu) > 0 for every mode"
             )
     limit = _checked_limit(kind, cutoff, len(modes))
-    table = _exponent_table(modes, t.mu, limit, t.beta)
-    # The weight exponent -beta*sum_i (e_i - mu)*n_i is maximised mode by
-    # mode, so its overflow is refused before any enumeration.
+    heads, prefixes, slices, tails = _split(_exponent_table(modes, t.mu, limit, t.beta))
     nb = -t.beta
-    a_max = nb * _fold(0.0, (min(0.0, row[-1]) for row in table))
-    if not math.isfinite(a_max):
-        raise DomainError(f"largest weight exponent overflows: {a_max!r}")
-    heads, prefixes, slices, tails = _split(table)
     # Each half loses its own largest exponent: every exponent is then at
     # most 0 and the largest is exactly 0, however large the entries.
     top = nb * min(prefixes)
     parts = [(a, [nb * v for v in _expand([0.0], rows)]) for a, rows in slices]
     top_tail = max(max(u) for _, u in parts)
-    # A short last slice is padded with exact zeros to the column's length.
-    parts = [(a, [s - top_tail for s in u], [0.0] * (len(tails) - len(u))) for a, u in parts]
-    exp, fsum, last = math.exp, math.fsum, len(table) - 1
+    parts = [(a, [s - top_tail for s in u]) for a, u in parts]
+    exp, fsum, last = math.exp, math.fsum, len(modes) - 1
     norm = 0.0
-    sums = [0.0] * len(table)
+    sums = [0.0] * len(modes)
     column = [0.0] * len(tails)
     group: list[list[float]] = []
     for head, v in zip(heads, prefixes):
         c = nb * v - top
-        for a, u, pad in parts:
+        for a, u in parts:
             ws = [exp(c + s) for s in u]
             total = fsum(ws)
             norm += total
@@ -273,13 +268,11 @@ def gc_average_occupation(
                     sums[i] += n * total
             if a:
                 sums[last] += a * total
-            if pad:
-                ws += pad
             group.append(ws)
             if len(group) == _GROUP:
-                column = list(map(sum, zip(column, *group)))
+                column = list(map(sum, itertools.zip_longest(column, *group, fillvalue=0.0)))
                 group.clear()
-    column = list(map(sum, zip(column, *group)))
+    column = list(map(sum, itertools.zip_longest(column, *group, fillvalue=0.0)))
     for j, counts in enumerate(zip(*tails), last + 1 - len(tails[0])):
         sums[j] += fsum(map(operator.mul, counts, column))
     return tuple(s / norm for s in sums)
@@ -314,7 +307,8 @@ def ground_state_search(
     EnumerationLimitError
         When the space exceeds ``CONFIGURATION_CAP`` configurations.
     DomainError
-        When some ``(e_i - mu)*n`` is not finite.
+        When some ``(e_i - mu)*n``, or the deepest configuration's sum of
+        them, is not finite.
     """
     if kind is StatisticsKind.BOSE and any(e - mu < 0.0 for e in modes.energies):
         return GroundStateResult(False, None, None)

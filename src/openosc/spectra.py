@@ -8,7 +8,8 @@ malformed state can be rejected rather than silently repaired.
 
 It is also the one home of the three argument rules: ``check_scale`` for
 scales and tolerances, ``check_mu`` for the chemical potential, and
-``check_integer`` for every index, count and size.
+``check_integer`` for every index, count and size; and of ``checked_fsum``,
+which turns the overflow of an energy sum into a ``DomainError``.
 """
 
 from __future__ import annotations
@@ -177,6 +178,14 @@ def finite_energy(energy: float, name: str, index: Any) -> float:
     return energy
 
 
+def checked_fsum(terms: Iterable[float], what: str) -> float:
+    """``math.fsum(terms)``; ``DomainError`` where a term or a finite partial sum overflows."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:  # int too large for a float, or fsum's intermediate overflow
+        raise DomainError(f"{what} overflows the float range") from None
+
+
 def ensemble_energy(occ: OccupationState, p: OscillatorParams) -> float:
     """Total energy ``sum_q hbar*omega*(q + 1/2) * n_q`` of an occupation state.
 
@@ -184,4 +193,4 @@ def ensemble_energy(occ: OccupationState, p: OscillatorParams) -> float:
     same bits on every Python version.
     """
     occ.validate()
-    return math.fsum(mode_energy(q, p) * n for q, n in occ.items())
+    return checked_fsum((mode_energy(q, p) * n for q, n in occ.items()), "ensemble energy")

@@ -113,6 +113,8 @@ def occupation_number(energy: float, t: Thermo, kind: StatisticsKind) -> float:
 
     Raises
     ------
+    DomainError
+        When ``energy`` is NaN, as ``Thermo`` refuses a NaN ``mu``.
     ChemicalPotentialError
         For the Bose branch when ``x <= 0``: the geometric series behind
         the mean diverges and no occupation exists.
@@ -123,6 +125,8 @@ def occupation_number(energy: float, t: Thermo, kind: StatisticsKind) -> float:
         For the Bose branch when ``0 < x < 1e-12``, where the result
         exceeds ~1e12 and carries essentially no relative precision.
     """
+    if math.isnan(energy):
+        raise DomainError(f"energy must be a number, got {energy!r}")
     return occupation_numbers([t.beta * (energy - t.mu)], kind)[0]
 
 

@@ -230,10 +230,10 @@ def test_occupation_kernel_is_both_formulas_bit_for_bit(kind):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # x just below _TINY_X
         block = stats.occupation_numbers(xs, kind)
-        levels = [occupation_number(x, Thermo(1.0), kind) for x in xs]  # beta*(x - 0.0) == x
-    expected = [repr(written_out_occupation(x, kind)) for x in xs]
-    assert [repr(n) for n in block] == expected
-    assert [repr(n) for n in levels] == expected
+        numbers = [x for x in xs if not math.isnan(x)]  # occupation_number refuses a NaN energy
+        levels = [occupation_number(x, Thermo(1.0), kind) for x in numbers]  # beta*(x - 0.0) == x
+    assert [repr(n) for n in block] == [repr(written_out_occupation(x, kind)) for x in xs]
+    assert [repr(n) for n in levels] == [repr(written_out_occupation(x, kind)) for x in numbers]
 
 
 def test_occupation_kernel_refuses_the_first_bose_exponent_at_or_below_zero():

@@ -222,3 +222,28 @@ def test_chain_sums_refuse_an_overflowing_total():
         chain_energy(ChainAssignment((1, 1, 1, 1)), huge)
     with pytest.raises(DomainError, match="overflows"):
         q_min_chain(0.0, 1, ChainAssignment((1, 1, 1, 1)), huge)
+
+
+@pytest.mark.parametrize("osc, coupling", [
+    (OscillatorParams(), 1e308),
+    (OscillatorParams(hbar=10.0, omega=1e307), 1.0),
+], ids=["coupling", "hbar-times-omega-s"])
+def test_chain_params_refuse_an_overflowing_top_mode(osc, coupling):
+    # Such chains once reported omega_s = inf; in the second, hbar*omega = 1e308
+    # is finite but the top mode's hbar*omega_s is not.
+    with pytest.raises(DomainError, match=r"hbar\*omega_s must be finite and positive, got inf"):
+        ChainParams(3, osc, coupling)
+
+
+def test_chain_sums_refuse_an_overflowing_level():
+    # 10*(10^308 + 1/2) is inf, where mode_energy refuses the same level; the
+    # chain sums once returned inf.
+    ch = ChainParams(1, OscillatorParams(omega=10.0))
+    a = ChainAssignment((10**308,))
+    message = rf"level \(s, q\) = \(1, {10**308}\) overflows"
+    with pytest.raises(DomainError, match=message):
+        chain_energy(a, ch)
+    with pytest.raises(DomainError, match=message):
+        chain_effective_energy(a, 0.0, ch)
+    with pytest.raises(DomainError, match=message):
+        grouped_form_energy(a, 0.0, ch)

@@ -489,11 +489,15 @@ def test_unrepresentable_inputs_exit_3_at_once(args, message, tmp_path, capsys):
      "coupling must be finite and non-negative, got inf"),
     (["stats", "--stat", "bose", "--hbar", "1e200", "--omega", "1e200"],
      "hbar*omega must be finite and positive, got inf"),
+    (["chain", "--count", "3", "--coupling", "1e308"],
+     "hbar*omega_s must be finite and positive, got inf"),
 ], ids=["stats-quantum-underflow", "spectrum-quantum-underflow", "gas-quantum-underflow",
-        "gas-omega-inf", "chain-coupling-nan", "chain-coupling-inf", "stats-quantum-overflow"])
+        "gas-omega-inf", "chain-coupling-nan", "chain-coupling-inf", "stats-quantum-overflow",
+        "chain-top-mode-overflow"])
 def test_non_finite_or_vanishing_scales_exit_3(args, message, tmp_path, capsys):
     # hbar*omega underflowing to 0 died with a ZeroDivisionError traceback
-    # (exit 1); an infinite omega or a NaN coupling wrote inf or nan cells.
+    # (exit 1); an infinite omega, a NaN coupling or an overflowing top chain
+    # mode wrote inf or nan cells.
     code, target = run_to_file(args, tmp_path)
     assert code == 3
     assert not target.exists()

@@ -106,6 +106,15 @@ def test_effective_energy_gas_empty():
     assert effective_energy_gas(GasOccupationState({}), 2.0, RG) == 0.0
 
 
+@pytest.mark.parametrize("occupations", [
+    {(0, 0): 10**400}, {(0, 0): 10**308, (1, 0): 10**308},
+], ids=["count-past-float-range", "intermediate-overflow"])
+def test_effective_energy_gas_refuses_an_overflowing_sum(occupations):
+    # Both raised a bare OverflowError.
+    with pytest.raises(DomainError, match="gas effective energy overflows"):
+        effective_energy_gas(GasOccupationState(occupations), 0.0, RG)
+
+
 @given(
     occ=st.dictionaries(
         st.tuples(st.integers(-5, 5), st.integers(0, 10)),

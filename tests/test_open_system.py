@@ -131,6 +131,21 @@ def test_effective_energy_equals_raw_minus_mu_times_n(occ, mu):
     assert combined == pytest.approx(split, abs=1e-10)
 
 
+@pytest.mark.parametrize("occupations", [
+    {0: 10**400}, {0: 10**308, 1: 10**308},
+], ids=["count-past-float-range", "intermediate-overflow"])
+def test_state_energies_refuse_an_overflowing_sum(occupations):
+    # These raised a bare OverflowError: converting the count to a float, or
+    # fsum's intermediate overflow of 0.5e308 + 1.5e308.
+    state = OccupationState(occupations)
+    with pytest.raises(DomainError, match="ensemble energy overflows"):
+        ensemble_energy(state, REDUCED)
+    with pytest.raises(DomainError, match="effective energy overflows"):
+        effective_energy_vibrational(state, 0.0, REDUCED)
+    with pytest.raises(DomainError, match="effective energy overflows"):
+        positivity_check(state, 0.0, REDUCED)
+
+
 def test_positivity_check_flags_offending_level():
     report = positivity_check(OccupationState({0: 1}), 1.0, REDUCED)
     assert not report.positive

@@ -316,6 +316,29 @@ def test_ground_state_refuses_non_finite_exponents(mu, kind):
         ground_state_search(ladder(3), mu, kind, cutoff=2)
 
 
+def test_ground_state_refuses_an_overflowing_lowest_energy():
+    # Each entry is finite, but the deepest configuration's sum -2e308 is
+    # not: the search once returned bounded=True with energy -inf.
+    with pytest.raises(DomainError, match="overflows"):
+        ground_state_search(ModeSet((-1e308, -1e308)), 0.0, FERMI)
+
+
+# Ten Fermi modes: the first two form the head, the last eight the tail.
+@pytest.mark.parametrize("energies, beta", [
+    ((-1e308, -1e308) + (1.0,) * 8, 1.0),
+    ((1.0,) * 8 + (-1e308, -1e308), 1.0),
+    ((-1e308,) + (1.0,) * 8 + (-1e308,), 0.5),
+], ids=["head", "tail", "across-halves-beta-half"])
+def test_both_walks_refuse_an_overflowing_deepest_exponent(energies, beta):
+    # At beta = 0.5 the scaled entries add up to a finite -1e308; the check
+    # scales the unscaled total -inf, as the weight walk's refusal always did.
+    modes = ModeSet(energies)
+    with pytest.raises(DomainError, match="overflows"):
+        gc_average_occupation(modes, Thermo(beta, 0.0), FERMI)
+    with pytest.raises(DomainError, match="overflows"):
+        ground_state_search(modes, 0.0, FERMI)
+
+
 # The most modes whose space fits in one block of the walk: Fermi, and Bose
 # at cutoff 3 (four counts per mode).  One mode more spills into the head.
 _FERMI_EDGE = _BLOCK.bit_length() - 1

@@ -60,6 +60,13 @@ def test_thermo_rejects_a_nan_mu():
         Thermo(1.0, -math.nan)
 
 
+@pytest.mark.parametrize("kind", [BOSE, FERMI])
+def test_occupation_number_refuses_a_nan_energy(kind):
+    # Both kinds once returned nan.
+    with pytest.raises(DomainError, match="energy must be a number, got nan"):
+        occupation_number(math.nan, Thermo(1.0, 0.0), kind)
+
+
 def test_fermi_occupation_at_unit_exponent():
     # 1/(e + 1), frozen from the closed form.
     value = occupation_number(1.0, Thermo(1.0, 0.0), FERMI)
