@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 from .errors import DomainError, spell
 from .spectra import (
-    OccupationState, OscillatorParams, check_integer, check_scale, checked_fsum, finite_energy,
-    level_index,
+    OccupationState, OscillatorParams, check_integer, check_mu, check_scale, checked_fsum,
+    finite_energy, level_index,
 )
 
 __all__ = [
@@ -114,6 +114,7 @@ def chain_energy(a: ChainAssignment, ch: ChainParams) -> float:
 
 def chain_effective_energy(a: ChainAssignment, mu: float, ch: ChainParams) -> float:
     """Per-mode effective sum ``sum_s [hbar*omega_s*(q_s + 1/2) - mu]``."""
+    check_mu(mu)
     _check_assignment(a, ch)
     freqs = chain_frequencies(ch)
     terms = (_mode_energy(s, q, freqs, ch) - mu for s, q in enumerate(a.levels, 1))

@@ -1,10 +1,10 @@
 """Command line front end: batch jobs rendered as CSV or JSON reports.
 
-One executable, one subcommand per job kind.  Parameters come from flags
-or from a JSON config file (flags win key by key); every parameter that
-has a value, defaults included, is echoed in the output metadata and
-reports contain nothing volatile, so re-running a job reproduces its
-output byte for byte.
+One executable, one subcommand per job kind.  Parameters come from flags,
+each spelled exactly and taking one value, or from a JSON config file
+(flags win key by key); every parameter that has a value, defaults
+included, is echoed in the output metadata and reports contain nothing
+volatile, so re-running a job reproduces its output byte for byte.
 
 Exit codes: 0 success, 2 usage or config error, 3 domain/precondition
 error, 4 numerical non-convergence.
@@ -12,13 +12,12 @@ error, 4 numerical non-convergence.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, NoReturn, Sequence
 
 from .chain import (
     ChainAssignment,
@@ -128,47 +127,48 @@ def _convert(name: str, spec: _Param, raw: Any, source: str) -> Any:
 # --- parsing -----------------------------------------------------------------
 
 
-def _add_kind_args(parser: argparse.ArgumentParser, params: dict[str, _Param]) -> None:
-    for name, spec in params.items():
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, dest=name, default=None, help=spec.help or None)
+_IO_PARAMS = {
+    "config": _Param("str", help="JSON file with job parameters"),
+    "output": _Param("str", help="report path (stdout if absent)"),
+    "format": _Param("str", help="csv or json (json for a .json output, else csv)"),
+}
 
 
-def _add_io_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None, help="JSON file with job parameters")
-    parser.add_argument("-o", "--output", default=None, help="report path (stdout if absent)")
-    parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
+def _print_help(usage: str, title: str, entries: dict[str, str]) -> NoReturn:
+    lines = [f"usage: {usage}", "", f"{title}:", *(f"  {k:14}{v}" for k, v in entries.items())]
+    # One write: on unbuffered stdout a reader that stops early (| head) breaks later writes.
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(0)
 
 
-def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The parser for ``argv``: every kind is listed, but only those named in it get arguments.
+def _read_flags(
+    args: list[str], where: str, params: dict[str, _Param], io: bool
+) -> dict[str, str]:
+    """Pop the leading ``--flag value`` and ``--flag=value`` pairs of ``args``.
 
-    argparse selects a subparser only by a token equal to its name, so a
-    kind whose name is not among the tokens can never parse anything, and
-    its arguments would only cost start-up.  A name that appears as a value
-    (``--param stats``) merely builds one subparser too many.
+    Only the exact flags of ``params`` count, and with ``io`` those of
+    ``_IO_PARAMS`` and ``-o`` for ``--output``.  A flag's value is the next
+    token unless that starts with ``--``, so ``--mu -1e-5`` reads as written.
+    ``-h`` or ``--help`` prints the flags of ``where`` and exits 0.
     """
-    named = set(argv)
-    parser = argparse.ArgumentParser(
-        prog="openosc",
-        description="Effective spectra and occupation statistics of open oscillator systems.",
-    )
-    sub = parser.add_subparsers(dest="kind", required=True)
-    for kind, spec in _KINDS.items():
-        p = sub.add_parser(kind, help=spec.help)
-        if kind in named:
-            _add_kind_args(p, spec.params)
-            _add_io_args(p)
-    sweep = sub.add_parser("sweep", help="repeat an inner job over a parameter grid")
-    if "sweep" in named:
-        _add_kind_args(sweep, _SWEEP_PARAMS)
-        _add_io_args(sweep)
-        inner = sweep.add_subparsers(dest="inner_kind")
-        for kind, spec in _KINDS.items():
-            q = inner.add_parser(kind)
-            if kind in named:
-                _add_kind_args(q, spec.params)
-    return parser
+    params = {**params, **_IO_PARAMS} if io else params
+    names = {"--" + name.replace("_", "-"): name for name in params}
+    if io:
+        names["-o"] = "output"
+    flags: dict[str, str] = {}
+    while args and args[0].startswith("-"):
+        flag, eq, value = args.pop(0).partition("=")
+        if flag in ("-h", "--help"):
+            entries = {f: params[n].help for f, n in names.items()}
+            _print_help(f"openosc {where} [--flag VALUE ...]", "flags", entries)
+        if flag not in names:
+            raise UsageError(f"unknown flag {flag!r} for {where!r}")
+        if not eq:
+            if not args or args[0].startswith("--"):
+                raise UsageError(f"flag {flag!r} needs a value")
+            value = args.pop(0)
+        flags[names[flag]] = value
+    return flags
 
 
 def _load_config(path: str) -> dict[str, Any]:
@@ -217,29 +217,6 @@ def _merge_params(
     return merged
 
 
-def _attach_negative_values(argv: Sequence[str]) -> list[str]:
-    """Join ``--flag -1e-5`` into ``--flag=-1e-5``.
-
-    argparse reads ``-1e-5``, ``-inf`` or ``-1,0`` as an unknown option.  Every
-    flag except ``--help`` takes one value, so a negative token each of whose
-    non-blank comma-separated parts ``float()`` accepts is that flag's value.
-    """
-    args: list[str] = []
-    for token in argv:
-        prev = args[-1] if args else ""
-        if token.startswith("-") and prev.startswith("--") and prev != "--help":
-            try:
-                for part in token.split(","):
-                    if part.strip():  # _convert skips blank list parts
-                        float(part)
-                args[-1] = f"{prev}={token}"
-                continue
-            except ValueError:
-                pass
-        args.append(token)
-    return args
-
-
 def parse_job(argv: Sequence[str]) -> Job:
     """Turn an argument vector into a validated Job.
 
@@ -248,21 +225,44 @@ def parse_job(argv: Sequence[str]) -> Job:
     out of range.  Every other precondition, count, max_terms and cutoff
     included, is the library's to check; it surfaces from run_job.
     """
-    args = _attach_negative_values(argv)
-    try:
-        ns = _build_parser(args).parse_args(args)
-    except SystemExit as exc:
-        if exc.code == 0:
-            raise
-        raise UsageError("invalid arguments") from None
-    kind = ns.kind
-    config = _load_config(ns.config) if ns.config else {}
-    flags = vars(ns)
-    params = _merge_params(kind, flags, config, f"config[{kind}]")
+    args = list(argv)
+    if args[:1] in (["-h"], ["--help"]):
+        kinds = {kind: spec.help for kind, spec in _KINDS.items()}
+        kinds["sweep"] = "repeat an inner job over a parameter grid"
+        _print_help("openosc [sweep [--flag VALUE ...]] KIND [--flag VALUE ...]\n\n"
+                    "Effective spectra and occupation statistics of open oscillator systems.",
+                    "kinds (each takes --help)", kinds)
+    if not args:
+        raise UsageError("missing job kind: one of " + ", ".join([*_KINDS, "sweep"]))
+    kind = args.pop(0)
+    if kind not in _KINDS and kind != "sweep":
+        raise UsageError(f"unknown job kind {kind!r}")
+    spec = _SWEEP_PARAMS if kind == "sweep" else _KINDS[kind].params
+    flags = _read_flags(args, kind, spec, io=True)
+    inner_kind, inner_flags = None, {}
+    if kind == "sweep" and args:
+        inner_kind = args.pop(0)
+        if inner_kind not in _KINDS:
+            raise UsageError(f"unknown inner job kind {inner_kind!r}")
+        inner_flags = _read_flags(args, f"sweep {inner_kind}", _KINDS[inner_kind].params, io=False)
+    if args:
+        raise UsageError(f"unexpected argument {args[0]!r}")
+    config = _load_config(flags["config"]) if flags.get("config") else {}
 
+    path = flags.get("output")
+    if path is None and "output" in config:  # even an empty -o beats the config
+        path = _convert("output", _Param("str"), config["output"], f"config[{kind}]")
+    # An empty path, from the flag or the config, writes to stdout like no path.
+    output = Path(path) if path else None
+    fmt = flags.get("format", config.get("format"))
+    if fmt is None:
+        fmt = "json" if output is not None and output.suffix == ".json" else "csv"
+    if fmt not in ("csv", "json"):
+        raise UsageError(f"format must be csv or json, got {fmt!r}")
+
+    params = _merge_params(kind, flags, config, f"config[{kind}]")
     inner = None
     if kind == "sweep":
-        inner_kind = getattr(ns, "inner_kind", None)
         inner_cfg = config.get("job", {})
         if not isinstance(inner_cfg, dict):
             raise UsageError("config key 'job' must hold a JSON object")
@@ -272,27 +272,13 @@ def parse_job(argv: Sequence[str]) -> Job:
                 raise UsageError("sweep needs an inner job (subcommand or config 'job')")
             if not isinstance(inner_kind, str) or inner_kind not in _KINDS:
                 raise UsageError(f"unknown inner job kind {inner_kind!r}")
-        inner_params = _merge_params(
-            inner_kind, flags, inner_cfg, "config[job]"
-        )
+        inner = Job(inner_kind, _merge_params(inner_kind, inner_flags, inner_cfg, "config[job]"))
         swept = params["param"]
         ispec = _KINDS[inner_kind].params
         if swept not in ispec or ispec[swept].type != "float":
             raise UsageError(
                 f"sweep parameter {swept!r} is not a numeric parameter of {inner_kind!r}"
             )
-        inner = Job(inner_kind, inner_params)
-
-    path = ns.output
-    if path is None and "output" in config:  # even an empty -o beats the config
-        path = _convert("output", _Param("str"), config["output"], f"config[{kind}]")
-    # An empty path, from the flag or the config, writes to stdout like no path.
-    output = Path(path) if path else None
-    fmt = ns.fmt or config.get("format")
-    if fmt is None:
-        fmt = "json" if output is not None and output.suffix == ".json" else "csv"
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"format must be csv or json, got {fmt!r}")
     return Job(kind, params, output, fmt, inner)
 
 
@@ -412,7 +398,7 @@ def _run_oracle(params: dict[str, Any]) -> tuple[dict[str, Any], Rows]:
 
 
 class _Kind(NamedTuple):
-    """The one declaration of a job kind; parser, config merge and run_job read it."""
+    """The one declaration of a job kind; flag reader, config merge and run_job read it."""
 
     help: str
     params: dict[str, _Param]

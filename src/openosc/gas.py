@@ -93,6 +93,7 @@ class GasOccupationState(OccupationState):
 
 def effective_energy_gas(occ: GasOccupationState, mu: float, g: GasParams) -> float:
     """Effective energy ``sum_{k,q} [eps_k + hbar*omega*(q+1/2) - mu] * n_{k,q}``."""
+    check_mu(mu)
     occ.validate()
     terms = ((joint_energy(k, q, g) - mu) * n for (k, q), n in occ.items())
     return checked_fsum(terms, "gas effective energy")

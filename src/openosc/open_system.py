@@ -86,6 +86,7 @@ def effective_energy_vibrational(
     occ: OccupationState, mu: float, p: OscillatorParams
 ) -> float:
     """Grand-canonical effective energy ``sum_q [hbar*omega*(q+1/2) - mu] * n_q``."""
+    check_mu(mu)
     occ.validate()
     terms = (effective_frequency(q, mu, p) * n for q, n in occ.items())
     return checked_fsum(terms, "effective energy")

@@ -9,7 +9,7 @@ malformed state can be rejected rather than silently repaired.
 It is also the one home of the three argument rules: ``check_scale`` for
 scales and tolerances, ``check_mu`` for the chemical potential, and
 ``check_integer`` for every index, count and size; and of ``checked_fsum``,
-which turns the overflow of an energy sum into a ``DomainError``.
+which turns an energy sum that is not finite into a ``DomainError``.
 """
 
 from __future__ import annotations
@@ -179,11 +179,14 @@ def finite_energy(energy: float, name: str, index: Any) -> float:
 
 
 def checked_fsum(terms: Iterable[float], what: str) -> float:
-    """``math.fsum(terms)``; ``DomainError`` where a term or a finite partial sum overflows."""
+    """``math.fsum(terms)``; ``DomainError`` where a partial sum or the sum is not finite."""
     try:
-        return math.fsum(terms)
+        total = math.fsum(terms)
     except OverflowError:  # int too large for a float, or fsum's intermediate overflow
-        raise DomainError(f"{what} overflows the float range") from None
+        total = math.inf
+    if not math.isfinite(total):  # fsum returns an infinite term as it is
+        raise DomainError(f"{what} overflows the float range")
+    return total
 
 
 def ensemble_energy(occ: OccupationState, p: OscillatorParams) -> float:

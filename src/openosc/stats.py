@@ -114,7 +114,8 @@ def occupation_number(energy: float, t: Thermo, kind: StatisticsKind) -> float:
     Raises
     ------
     DomainError
-        When ``energy`` is NaN, as ``Thermo`` refuses a NaN ``mu``.
+        When ``energy`` is NaN, as ``Thermo`` refuses a NaN ``mu``, or when
+        ``x`` is NaN: an infinite ``energy`` at an equal infinite ``mu``.
     ChemicalPotentialError
         For the Bose branch when ``x <= 0``: the geometric series behind
         the mean diverges and no occupation exists.
@@ -127,7 +128,10 @@ def occupation_number(energy: float, t: Thermo, kind: StatisticsKind) -> float:
     """
     if math.isnan(energy):
         raise DomainError(f"energy must be a number, got {energy!r}")
-    return occupation_numbers([t.beta * (energy - t.mu)], kind)[0]
+    x = t.beta * (energy - t.mu)
+    if math.isnan(x):
+        raise DomainError(f"beta*(energy - mu) is not a number at energy = mu = {energy!r}")
+    return occupation_numbers([x], kind)[0]
 
 
 def occupation_numbers(xs: Sequence[float], kind: StatisticsKind) -> list[float]:

@@ -86,6 +86,32 @@ def test_main_unknown_flag_exits_2(capsys):
     assert payload["error"]["code"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (["stats", "--stat", "bose", "--bogus", "1"], "'--bogus'"),
+        (["stats", "--bet", "0.5", "--stat", "fermi"], "'--bet'"),
+        (["stats", "--stat", "bose", "--format", "xml"], "'xml'"),
+        (["stats", "--stat", "bose", "-o"], "'-o'"),
+        (["stats", "--stat", "bose", "extra"], "'extra'"),
+        ([], "job kind"),
+        (["--stat", "bose"], "'--stat'"),
+        (["sweep", "--param", "mu", "--start", "0", "--stop", "1", "sweep"], "'sweep'"),
+    ],
+    ids=["unknown-flag", "abbreviated-flag", "format", "output-without-value", "positional",
+         "no-arguments", "no-kind", "nested-sweep"],
+)
+def test_a_usage_error_is_one_json_line_naming_the_token(argv, token, capsys):
+    # Only exact flag names are read, so --bet is not taken for --beta.
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["code"] == 2 and error["type"] == "UsageError"
+    assert token in error["message"]
+
+
 def test_spectrum_accessibility_pattern(tmp_path, capsys):
     code, target = run_to_file(JOB_ARGS["spectrum"], tmp_path)
     assert code == 0
@@ -162,7 +188,7 @@ def test_report_rows_are_tuples_of_ints_floats_and_bools(args):
          "list-flag-trailing-comma", "list-flag-library-check"],
 )
 def test_negative_values_with_an_exponent_are_flag_values(args, key, value, code, shown, capsys):
-    # argparse alone reads "-1e-5" or "-1,0" as an unknown option and exits 2.
+    # A flag takes the next token as its value unless it starts with "--".
     job = parse_job(args)
     assert {**job.params, **(job.inner.params if job.inner else {})}[key] == value
     assert main(args) == code
@@ -667,9 +693,9 @@ def kind_flags(params):
     return {"--" + name.replace("_", "-") for name in params}
 
 
-# The parser gives arguments only to the subparsers argv names, so each help
-# page is checked on its own.  Only flag and kind names are asserted: the
-# wording of argparse's help differs between Python versions.
+# Each help page lists the flags of one word of argv, read from the job
+# table, so each is checked on its own.  Only flag and kind names are
+# asserted, not the wording around them.
 @pytest.mark.parametrize("kind", sorted(cli._KINDS))
 def test_each_kind_help_names_its_flags(kind, capsys):
     assert help_flags([kind], capsys) >= kind_flags(cli._KINDS[kind].params) | IO_FLAGS
@@ -693,7 +719,7 @@ def test_top_level_help_names_every_kind(capsys):
     out = capsys.readouterr().out
     names = set(re.findall(r"^ +([a-z]+) {2,}", out, flags=re.MULTILINE))
     assert names >= {"spectrum", "gas", "chain", "stats", "bounds", "oracle", "sweep"}
-    # Each kind's help text, however argparse wraps it.
+    # Each kind's help text, however the page wraps it.
     text = "".join(out.split())
     for spec in cli._KINDS.values():
         assert "".join(spec.help.split()) in text

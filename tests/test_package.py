@@ -218,3 +218,11 @@ def test_importing_the_cli_leaves_decimal_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": SRC}).stdout
     assert out.strip() == "False"
+
+
+def test_importing_the_cli_leaves_argparse_unloaded():
+    # cli reads argv itself from its job table and needs no argument parser.
+    code = "import sys, openosc.cli; print('argparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC}).stdout
+    assert out.strip() == "False"

@@ -23,12 +23,18 @@ from openosc import (
     accessible_set,
     bose_gas_condition,
     bose_threshold_equivalence,
+    chain_effective_energy,
+    chain_energy,
     chain_frequencies,
+    effective_energy_gas,
+    effective_energy_vibrational,
     ensemble_energy,
     gc_average_occupation,
+    grouped_form_energy,
     level_index,
     mode_energy,
     per_mode_limit,
+    positivity_check,
     q_min_chain,
     q_min_gas,
     quartic_reciprocal_tail,
@@ -326,3 +332,49 @@ def test_validate_detects_mutated_backing_map():
     state.occupations[3] = 2
     with pytest.raises(ClosureError):
         state.validate()
+
+
+# An infinite term, such as a level energy times 10**308 particles or a chain
+# term at mu = -inf, passes math.fsum as it is; two terms of 1e308 or more in
+# TOP's sums overflow a partial sum instead.  Each of the seven sums behind
+# checked_fsum refuses the one it can meet.
+BIG_STATE = OccupationState({3: 10**308})
+TOP = ChainParams(2, OscillatorParams(omega=1e308))
+
+
+@pytest.mark.parametrize(
+    "what, call",
+    [
+        ("ensemble energy", lambda: ensemble_energy(BIG_STATE, REDUCED)),
+        ("effective energy", lambda: effective_energy_vibrational(BIG_STATE, 0.0, REDUCED)),
+        ("effective energy", lambda: positivity_check(BIG_STATE, 0.0, REDUCED)),
+        ("gas effective energy",
+         lambda: effective_energy_gas(GasOccupationState({(0, 3): 10**308}), 0.0, RG)),
+        ("chain energy", lambda: chain_energy(ChainAssignment((1, 1)), TOP)),
+        ("chain effective energy",
+         lambda: chain_effective_energy(ChainAssignment((0, 0)), -math.inf, TOP)),
+        ("group energy", lambda: grouped_form_energy(ChainAssignment((1, 1)), 0.0, TOP)),
+        ("group frequency sum", lambda: q_min_chain(0.0, 0, ChainAssignment((0, 0)), TOP)),
+    ],
+    ids=["ensemble", "effective", "positivity", "gas", "chain", "chain-effective", "group",
+         "group-frequency"],
+)
+def test_an_energy_sum_that_is_not_finite_is_refused(what, call):
+    with pytest.raises(DomainError, match=f"^{what} overflows the float range$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mu: effective_energy_vibrational(OccupationState({0: 1}), mu, REDUCED),
+        lambda mu: positivity_check(OccupationState({0: 1}), mu, REDUCED),
+        lambda mu: effective_energy_gas(GasOccupationState({(0, 0): 1}), mu, RG),
+        lambda mu: chain_effective_energy(ChainAssignment((0,)), mu, ChainParams(1, REDUCED)),
+        lambda mu: grouped_form_energy(ChainAssignment((0,)), mu, ChainParams(1, REDUCED)),
+    ],
+    ids=["effective", "positivity", "gas", "chain", "grouped"],
+)
+def test_an_effective_energy_refuses_a_nan_mu(call):
+    with pytest.raises(DomainError, match="^mu must be a number, got nan$"):
+        call(math.nan)

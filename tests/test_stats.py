@@ -67,6 +67,15 @@ def test_occupation_number_refuses_a_nan_energy(kind):
         occupation_number(math.nan, Thermo(1.0, 0.0), kind)
 
 
+@pytest.mark.parametrize("kind", [BOSE, FERMI])
+@pytest.mark.parametrize("level", [math.inf, -math.inf])
+def test_occupation_number_refuses_a_nan_exponent(kind, level):
+    # An infinite level at an equal infinite mu: inf - inf is NaN.
+    message = rf"^beta\*\(energy - mu\) is not a number at energy = mu = {level}$"
+    with pytest.raises(DomainError, match=message):
+        occupation_number(level, Thermo(1.0, level), kind)
+
+
 def test_fermi_occupation_at_unit_exponent():
     # 1/(e + 1), frozen from the closed form.
     value = occupation_number(1.0, Thermo(1.0, 0.0), FERMI)
