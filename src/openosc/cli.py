@@ -22,7 +22,6 @@ from typing import Any, Callable, NamedTuple, NoReturn, Sequence
 from .chain import (
     ChainAssignment,
     ChainParams,
-    chain_effective_energy,
     chain_energy,
     chain_frequencies,
     grouped_form_energy,
@@ -71,9 +70,9 @@ class _Param(NamedTuple):
 # float parameters.
 _SWEEP_PARAMS = {
     "param": _Param("str", "mu", help="numeric parameter of the inner job to sweep"),
-    "start": _Param("float", required=True),
-    "stop": _Param("float", required=True),
-    "steps": _Param("int", 7, least=1),
+    "start": _Param("float", required=True, help="first grid value"),
+    "stop": _Param("float", required=True, help="last grid value"),
+    "steps": _Param("int", 7, help="number of grid values, ends included", least=1),
 }
 
 
@@ -141,19 +140,18 @@ def _print_help(usage: str, title: str, entries: dict[str, str]) -> NoReturn:
     raise SystemExit(0)
 
 
-def _read_flags(
-    args: list[str], where: str, params: dict[str, _Param], io: bool
-) -> dict[str, str]:
+def _read_flags(args: list[str], where: str, params: dict[str, _Param]) -> dict[str, str]:
     """Pop the leading ``--flag value`` and ``--flag=value`` pairs of ``args``.
 
-    Only the exact flags of ``params`` count, and with ``io`` those of
-    ``_IO_PARAMS`` and ``-o`` for ``--output``.  A flag's value is the next
-    token unless that starts with ``--``, so ``--mu -1e-5`` reads as written.
-    ``-h`` or ``--help`` prints the flags of ``where`` and exits 0.
+    Only the exact flags of ``params`` count, plus ``-o`` for ``--output``
+    where ``params`` has ``output``: the outer word of argv passes its own
+    parameters with ``_IO_PARAMS``, a sweep's inner job its kind's alone.
+    A flag's value is the next token unless that starts with ``--``, so
+    ``--mu -1e-5`` reads as written.  ``-h`` or ``--help`` prints the flags
+    of ``where`` and exits 0.
     """
-    params = {**params, **_IO_PARAMS} if io else params
     names = {"--" + name.replace("_", "-"): name for name in params}
-    if io:
+    if "output" in params:
         names["-o"] = "output"
     flags: dict[str, str] = {}
     while args and args[0].startswith("-"):
@@ -189,16 +187,20 @@ def _load_config(path: str) -> dict[str, Any]:
 
 def _merge_params(
     kind: str,
+    spec: dict[str, _Param],
     flags: dict[str, Any],
     config: dict[str, Any],
     config_label: str,
 ) -> dict[str, Any]:
-    spec = _SWEEP_PARAMS if kind == "sweep" else _KINDS[kind].params
-    known = set(spec) | {"kind", "output", "format"}
-    if kind == "sweep":
-        known.add("job")
+    """Each parameter of ``spec`` from its flag, else ``config``, else its default.
+
+    ``config`` may hold only ``spec``'s keys and ``kind``, which must be
+    ``kind``; the caller takes out the keys of the outer word of argv
+    (``output``, ``format`` and a sweep's ``job``) first.  Flags outside
+    ``spec`` are ignored.
+    """
     for key in config:
-        if key not in known:
+        if key not in spec and key != "kind":
             raise UsageError(f"unknown config key {key!r} for job kind {kind!r}")
     if "kind" in config and config["kind"] != kind:
         raise UsageError(
@@ -233,37 +235,38 @@ def parse_job(argv: Sequence[str]) -> Job:
                     "Effective spectra and occupation statistics of open oscillator systems.",
                     "kinds (each takes --help)", kinds)
     if not args:
-        raise UsageError("missing job kind: one of " + ", ".join([*_KINDS, "sweep"]))
+        raise UsageError("missing job kind: one of " + ", ".join(_WORDS))
     kind = args.pop(0)
-    if kind not in _KINDS and kind != "sweep":
+    if kind not in _WORDS:
         raise UsageError(f"unknown job kind {kind!r}")
-    spec = _SWEEP_PARAMS if kind == "sweep" else _KINDS[kind].params
-    flags = _read_flags(args, kind, spec, io=True)
+    flags = _read_flags(args, kind, {**_WORDS[kind], **_IO_PARAMS})
     inner_kind, inner_flags = None, {}
     if kind == "sweep" and args:
         inner_kind = args.pop(0)
         if inner_kind not in _KINDS:
             raise UsageError(f"unknown inner job kind {inner_kind!r}")
-        inner_flags = _read_flags(args, f"sweep {inner_kind}", _KINDS[inner_kind].params, io=False)
+        inner_flags = _read_flags(args, f"sweep {inner_kind}", _WORDS[inner_kind])
     if args:
         raise UsageError(f"unexpected argument {args[0]!r}")
     config = _load_config(flags["config"]) if flags.get("config") else {}
+    # The outer word's own keys come out; what is left are its parameters.
+    own = {key: config.pop(key) for key in ("output", "format") if key in config}
+    inner_cfg = config.pop("job", {}) if kind == "sweep" else {}
 
     path = flags.get("output")
-    if path is None and "output" in config:  # even an empty -o beats the config
-        path = _convert("output", _Param("str"), config["output"], f"config[{kind}]")
+    if path is None and "output" in own:  # even an empty -o beats the config
+        path = _convert("output", _Param("str"), own["output"], f"config[{kind}]")
     # An empty path, from the flag or the config, writes to stdout like no path.
     output = Path(path) if path else None
-    fmt = flags.get("format", config.get("format"))
+    fmt = flags.get("format", own.get("format"))
     if fmt is None:
         fmt = "json" if output is not None and output.suffix == ".json" else "csv"
     if fmt not in ("csv", "json"):
         raise UsageError(f"format must be csv or json, got {fmt!r}")
 
-    params = _merge_params(kind, flags, config, f"config[{kind}]")
+    params = _merge_params(kind, _WORDS[kind], flags, config, f"config[{kind}]")
     inner = None
     if kind == "sweep":
-        inner_cfg = config.get("job", {})
         if not isinstance(inner_cfg, dict):
             raise UsageError("config key 'job' must hold a JSON object")
         if inner_kind is None:
@@ -272,9 +275,10 @@ def parse_job(argv: Sequence[str]) -> Job:
                 raise UsageError("sweep needs an inner job (subcommand or config 'job')")
             if not isinstance(inner_kind, str) or inner_kind not in _KINDS:
                 raise UsageError(f"unknown inner job kind {inner_kind!r}")
-        inner = Job(inner_kind, _merge_params(inner_kind, inner_flags, inner_cfg, "config[job]"))
+        ispec = _WORDS[inner_kind]
+        inner = Job(inner_kind, _merge_params(inner_kind, ispec, inner_flags, inner_cfg,
+                                              "config[job]"))
         swept = params["param"]
-        ispec = _KINDS[inner_kind].params
         if swept not in ispec or ispec[swept].type != "float":
             raise UsageError(
                 f"sweep parameter {swept!r} is not a numeric parameter of {inner_kind!r}"
@@ -336,7 +340,7 @@ def _run_chain(params: dict[str, Any]) -> tuple[dict[str, Any], Rows]:
         grouped = grouped_form_energy(a, params["mu"], ch)
         extra = {
             "chain_energy": chain_energy(a, ch),
-            "chain_effective_energy": chain_effective_energy(a, params["mu"], ch),
+            "chain_effective_energy": grouped.canonical,
             "grouped_energy": grouped.value,
             "grouped_discrepancy": grouped.discrepancy,
         }
@@ -414,48 +418,51 @@ _KINDS: dict[str, _Kind] = {
         "qmax": _Param("int", 10, help="highest ladder level reported", least=0),
     }, columns=("q", "energy", "omega_eff", "accessible"), run=_run_spectrum),
     "gas": _Kind("joint translational-vibrational levels and thresholds", {
-        "omega": _Param("float", 1.0),
-        "hbar": _Param("float", 1.0),
-        "mass": _Param("float", 1.0),
+        "omega": _Param("float", 1.0, help="oscillator frequency"),
+        "hbar": _Param("float", 1.0, help="reduced Planck constant"),
+        "mass": _Param("float", 1.0, help="particle mass"),
         "box_length": _Param("float", 1.0, help="periodic box length"),
-        "mu": _Param("float", 0.0),
+        "mu": _Param("float", 0.0, help="chemical potential"),
         "kmax": _Param("int", 5, help="half-width of the k range", least=0),
-        "qmax": _Param("int", 10, least=0),
+        "qmax": _Param("int", 10, help="highest ladder level reported", least=0),
     }, columns=("k", "q", "energy", "effective_term", "q_min_k"), run=_run_gas),
     "chain": _Kind("normal-mode frequencies and assignment energies", {
-        "omega": _Param("float", 1.0),
-        "hbar": _Param("float", 1.0),
+        "omega": _Param("float", 1.0, help="oscillator frequency"),
+        "hbar": _Param("float", 1.0, help="reduced Planck constant"),
         "count": _Param("int", required=True, help="number of chain sites"),
         "coupling": _Param("float", 0.0, help="nearest-neighbour coupling"),
-        "mu": _Param("float", 0.0),
+        "mu": _Param("float", 0.0, help="chemical potential"),
         "levels": _Param("int_list", None, help="ladder index per mode, e.g. 0,0,1"),
     }, columns=("s", "omega_s"), run=_run_chain),
     "stats": _Kind("mean occupations of one ladder", {
         "stat": _Param("stat", required=True, help="bose or fermi"),
         "beta": _Param("float", 1.0, help="inverse temperature"),
-        "mu": _Param("float", 0.0),
-        "omega": _Param("float", 1.0),
-        "hbar": _Param("float", 1.0),
+        "mu": _Param("float", 0.0, help="chemical potential"),
+        "omega": _Param("float", 1.0, help="oscillator frequency"),
+        "hbar": _Param("float", 1.0, help="reduced Planck constant"),
         "rel_tol": _Param("float", 1e-10, help="relative truncation tolerance"),
         "max_terms": _Param("int", 10_000_000, help="term cap for the adaptive sum"),
     }, columns=("level", "occupation"), run=_run_stats),
     "bounds": _Kind("reduced series against its analytic ceiling", {
-        "stat": _Param("stat", required=True),
-        "mu": _Param("float", 0.0),
-        "rel_tol": _Param("float", 1e-10),
-        "max_terms": _Param("int", 10_000_000),
+        "stat": _Param("stat", required=True, help="bose or fermi"),
+        "mu": _Param("float", 0.0, help="chemical potential"),
+        "rel_tol": _Param("float", 1e-10, help="relative truncation tolerance"),
+        "max_terms": _Param("int", 10_000_000, help="term cap for the adaptive sum"),
     }, columns=("mu", "S_numeric", "tail_bound", "lemma_bound", "pass"), run=_run_bounds),
     "oracle": _Kind("closed-form occupations against brute-force enumeration", {
-        "stat": _Param("stat", required=True),
-        "beta": _Param("float", 1.0),
-        "mu": _Param("float", 0.0),
-        "omega": _Param("float", 1.0),
-        "hbar": _Param("float", 1.0),
+        "stat": _Param("stat", required=True, help="bose or fermi"),
+        "beta": _Param("float", 1.0, help="inverse temperature"),
+        "mu": _Param("float", 0.0, help="chemical potential"),
+        "omega": _Param("float", 1.0, help="oscillator frequency"),
+        "hbar": _Param("float", 1.0, help="reduced Planck constant"),
         "qmax": _Param("int", 4, help="ladder modes 0..qmax when no energies given", least=0),
         "cutoff": _Param("int", 8, help="per-mode count cap for Bose enumeration"),
         "energies": _Param("float_list", None, help="explicit mode energies, e.g. 0.5,1.5"),
     }, columns=("mode", "closed_form", "oracle_value", "abs_error"), run=_run_oracle),
 }
+
+# The parameters of each word that can open argv or a config: a job kind, or sweep.
+_WORDS = {**{kind: spec.params for kind, spec in _KINDS.items()}, "sweep": _SWEEP_PARAMS}
 
 
 def run_job(job: Job) -> Report:

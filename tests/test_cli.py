@@ -712,6 +712,25 @@ def test_sweep_inner_help_names_the_inner_flags(kind, capsys):
     assert help_flags(argv, capsys) >= kind_flags(cli._KINDS[kind].params)
 
 
+HELP_PAGES = {
+    **{kind: [kind] for kind in sorted(cli._KINDS)},
+    "sweep": ["sweep"],
+    **{f"sweep-{kind}": ["sweep", "--param", "mu", "--start", "0", "--stop", "1", kind]
+       for kind in sorted(cli._KINDS)},
+}
+
+
+@pytest.mark.parametrize("argv", HELP_PAGES.values(), ids=list(HELP_PAGES))
+def test_every_flag_has_a_help_line(argv, capsys):
+    with pytest.raises(SystemExit):
+        main([*argv, "--help"])
+    flag_lines = [line for line in capsys.readouterr().out.splitlines()
+                  if line.lstrip().startswith("-")]
+    assert flag_lines
+    for line in flag_lines:
+        assert line.split(maxsplit=1)[1:], f"{line.strip()} has no help"
+
+
 def test_top_level_help_names_every_kind(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -804,10 +823,12 @@ def test_config_unknown_key_is_named(tmp_path, capsys):
          "config[stats] value for 'mu' must be a number, got 1000"),
         (["oracle", "--stat", "fermi"], {"energies": [10**400, 0.5]}, 2,
          "config[oracle] value for 'energies' must be a list of floats, got [1000"),
+        (["chain", "--count", "5"], {"levels": 5}, 2,
+         "config[chain] value for 'levels' must be a comma-separated list, got 5"),
     ],
     ids=["integral-float", "fractional", "bool-int", "bool-float",
          "scalar-integral-float", "scalar-fractional", "scalar-bool-int",
-         "scalar-past-float-range", "element-past-float-range"],
+         "scalar-past-float-range", "element-past-float-range", "scalar-not-a-list"],
 )
 def test_config_list_elements_follow_scalar_rules(args, config, code, expected, tmp_path,
                                                   capsys):
@@ -860,6 +881,26 @@ def test_config_job_key_belongs_to_sweep_only(args, config, tmp_path, capsys):
     assert main(args + ["--config", str(cfg)]) == 2
     message = json.loads(capsys.readouterr().err)["error"]["message"]
     assert message == "unknown config key 'job' for job kind 'stats'"
+
+
+@pytest.mark.parametrize("key, value", [("output", "inner.csv"), ("format", "json")])
+def test_sweep_inner_config_refuses_the_outer_io_keys(key, value, tmp_path, monkeypatch,
+                                                       capsys):
+    # Where the report goes and in which format belong to the sweep's own
+    # config; in its inner job they were once ignored without a word.
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "param": "mu", "start": 0, "stop": 1, "steps": 2,
+        "job": {"kind": "spectrum", "qmax": 1, key: value},
+    }))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"]["message"] == (
+        f"unknown config key {key!r} for job kind 'spectrum'"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.json"]
 
 
 def test_config_format_must_be_csv_or_json(tmp_path, capsys):

@@ -334,6 +334,14 @@ def test_validate_detects_mutated_backing_map():
         state.validate()
 
 
+def test_validate_detects_a_negative_entry_in_a_mutated_backing_map():
+    # The summed occupations still match the total, so only the entry check sees it.
+    state = OccupationState({3: 2})
+    state.occupations.update({3: 4, 4: -2})
+    with pytest.raises(DomainError, match=r"invalid entry q=4, n=-2"):
+        state.validate()
+
+
 # An infinite term, such as a level energy times 10**308 particles or a chain
 # term at mu = -inf, passes math.fsum as it is; two terms of 1e308 or more in
 # TOP's sums overflow a partial sum instead.  Each of the seven sums behind
