@@ -145,10 +145,11 @@ def _read_flags(args: list[str], where: str, params: dict[str, _Param]) -> dict[
 
     Only the exact flags of ``params`` count, plus ``-o`` for ``--output``
     where ``params`` has ``output``: the outer word of argv passes its own
-    parameters with ``_IO_PARAMS``, a sweep's inner job its kind's alone.
-    A flag's value is the next token unless that starts with ``--``, so
-    ``--mu -1e-5`` reads as written.  ``-h`` or ``--help`` prints the flags
-    of ``where`` and exits 0.
+    parameters with ``_IO_PARAMS``, a sweep's inner job its kind's less the
+    swept one.  A flag's value is the next token unless that starts with
+    ``--``, so ``--mu -1e-5`` reads as written.  ``-h`` or ``--help`` prints
+    the flags of ``where`` and exits 0; a sweep's inner page is only reached
+    once the sweep's own flags are read and merged.
     """
     names = {"--" + name.replace("_", "-"): name for name in params}
     if "output" in params:
@@ -157,8 +158,12 @@ def _read_flags(args: list[str], where: str, params: dict[str, _Param]) -> dict[
     while args and args[0].startswith("-"):
         flag, eq, value = args.pop(0).partition("=")
         if flag in ("-h", "--help"):
+            usage = f"openosc {where} [--flag VALUE ...]"
+            if where == "sweep":  # its inner job follows its own flags
+                usage += (" KIND [--flag VALUE ...]\n\ninner job KIND: "
+                          + ", ".join(_KINDS) + " (each takes --help)")
             entries = {f: params[n].help for f, n in names.items()}
-            _print_help(f"openosc {where} [--flag VALUE ...]", "flags", entries)
+            _print_help(usage, "flags", entries)
         if flag not in names:
             raise UsageError(f"unknown flag {flag!r} for {where!r}")
         if not eq:
@@ -222,6 +227,11 @@ def _merge_params(
 def parse_job(argv: Sequence[str]) -> Job:
     """Turn an argument vector into a validated Job.
 
+    A sweep's own flags and config are read and merged before its inner job,
+    whose kind comes from argv or the config's ``job``.  The grid alone sets
+    the swept parameter, so the inner job takes every flag and config key of
+    its kind but that one, and an inner ``--help`` needs the sweep's flags.
+
     Raises UsageError for malformed input (unknown keys included) and
     DomainError for a bound of the CLI's own loops (qmax, kmax, sweep steps)
     out of range.  Every other precondition, count, max_terms and cutoff
@@ -240,13 +250,7 @@ def parse_job(argv: Sequence[str]) -> Job:
     if kind not in _WORDS:
         raise UsageError(f"unknown job kind {kind!r}")
     flags = _read_flags(args, kind, {**_WORDS[kind], **_IO_PARAMS})
-    inner_kind, inner_flags = None, {}
-    if kind == "sweep" and args:
-        inner_kind = args.pop(0)
-        if inner_kind not in _KINDS:
-            raise UsageError(f"unknown inner job kind {inner_kind!r}")
-        inner_flags = _read_flags(args, f"sweep {inner_kind}", _WORDS[inner_kind])
-    if args:
+    if args and kind != "sweep":  # a sweep reads the rest as its inner job below
         raise UsageError(f"unexpected argument {args[0]!r}")
     config = _load_config(flags["config"]) if flags.get("config") else {}
     # The outer word's own keys come out; what is left are its parameters.
@@ -269,20 +273,22 @@ def parse_job(argv: Sequence[str]) -> Job:
     if kind == "sweep":
         if not isinstance(inner_cfg, dict):
             raise UsageError("config key 'job' must hold a JSON object")
+        inner_kind = args.pop(0) if args else inner_cfg.get("kind")
         if inner_kind is None:
-            inner_kind = inner_cfg.get("kind")
-            if inner_kind is None:
-                raise UsageError("sweep needs an inner job (subcommand or config 'job')")
-            if not isinstance(inner_kind, str) or inner_kind not in _KINDS:
-                raise UsageError(f"unknown inner job kind {inner_kind!r}")
-        ispec = _WORDS[inner_kind]
-        inner = Job(inner_kind, _merge_params(inner_kind, ispec, inner_flags, inner_cfg,
-                                              "config[job]"))
-        swept = params["param"]
+            raise UsageError("sweep needs an inner job (subcommand or config 'job')")
+        if not isinstance(inner_kind, str) or inner_kind not in _KINDS:
+            raise UsageError(f"unknown inner job kind {inner_kind!r}")
+        swept, ispec = params["param"], _KINDS[inner_kind].params
         if swept not in ispec or ispec[swept].type != "float":
             raise UsageError(
                 f"sweep parameter {swept!r} is not a numeric parameter of {inner_kind!r}"
             )
+        ispec = {name: p for name, p in ispec.items() if name != swept}
+        inner_flags = _read_flags(args, f"sweep {inner_kind}", ispec)
+        if args:
+            raise UsageError(f"unexpected argument {args[0]!r}")
+        inner = Job(inner_kind, _merge_params(inner_kind, ispec, inner_flags, inner_cfg,
+                                              "config[job]"))
     return Job(kind, params, output, fmt, inner)
 
 
@@ -410,54 +416,53 @@ class _Kind(NamedTuple):
     run: Callable[[dict[str, Any]], tuple[dict[str, Any], Rows]]
 
 
+# Every parameter of the job kinds, declared once; each kind takes its names from here.
+_PARAMS = {
+    "omega": _Param("float", 1.0, help="oscillator frequency"),
+    "hbar": _Param("float", 1.0, help="reduced Planck constant"),
+    "mass": _Param("float", 1.0, help="particle mass"),
+    "box_length": _Param("float", 1.0, help="periodic box length"),
+    "mu": _Param("float", 0.0, help="chemical potential"),
+    "beta": _Param("float", 1.0, help="inverse temperature"),
+    "stat": _Param("stat", required=True, help="bose or fermi"),
+    "qmax": _Param("int", 10, help="highest ladder level reported", least=0),
+    "kmax": _Param("int", 5, help="half-width of the k range", least=0),
+    "count": _Param("int", required=True, help="number of chain sites"),
+    "coupling": _Param("float", 0.0, help="nearest-neighbour coupling"),
+    "levels": _Param("int_list", None, help="ladder index per mode, e.g. 0,0,1"),
+    "rel_tol": _Param("float", 1e-10, help="relative truncation tolerance"),
+    "max_terms": _Param("int", 10_000_000, help="term cap for the adaptive sum"),
+    "cutoff": _Param("int", 8, help="per-mode count cap for Bose enumeration"),
+    "energies": _Param("float_list", None, help="explicit mode energies, e.g. 0.5,1.5"),
+}
+
+
+def _take(names: str) -> dict[str, _Param]:
+    """The ``_PARAMS`` entries of the space-separated ``names``, in that order."""
+    return {name: _PARAMS[name] for name in names.split()}
+
+
 _KINDS: dict[str, _Kind] = {
-    "spectrum": _Kind("ladder energies, effective frequencies and accessibility", {
-        "omega": _Param("float", 1.0, help="oscillator frequency"),
-        "hbar": _Param("float", 1.0, help="reduced Planck constant"),
-        "mu": _Param("float", 0.0, help="chemical potential"),
-        "qmax": _Param("int", 10, help="highest ladder level reported", least=0),
-    }, columns=("q", "energy", "omega_eff", "accessible"), run=_run_spectrum),
-    "gas": _Kind("joint translational-vibrational levels and thresholds", {
-        "omega": _Param("float", 1.0, help="oscillator frequency"),
-        "hbar": _Param("float", 1.0, help="reduced Planck constant"),
-        "mass": _Param("float", 1.0, help="particle mass"),
-        "box_length": _Param("float", 1.0, help="periodic box length"),
-        "mu": _Param("float", 0.0, help="chemical potential"),
-        "kmax": _Param("int", 5, help="half-width of the k range", least=0),
-        "qmax": _Param("int", 10, help="highest ladder level reported", least=0),
-    }, columns=("k", "q", "energy", "effective_term", "q_min_k"), run=_run_gas),
-    "chain": _Kind("normal-mode frequencies and assignment energies", {
-        "omega": _Param("float", 1.0, help="oscillator frequency"),
-        "hbar": _Param("float", 1.0, help="reduced Planck constant"),
-        "count": _Param("int", required=True, help="number of chain sites"),
-        "coupling": _Param("float", 0.0, help="nearest-neighbour coupling"),
-        "mu": _Param("float", 0.0, help="chemical potential"),
-        "levels": _Param("int_list", None, help="ladder index per mode, e.g. 0,0,1"),
-    }, columns=("s", "omega_s"), run=_run_chain),
-    "stats": _Kind("mean occupations of one ladder", {
-        "stat": _Param("stat", required=True, help="bose or fermi"),
-        "beta": _Param("float", 1.0, help="inverse temperature"),
-        "mu": _Param("float", 0.0, help="chemical potential"),
-        "omega": _Param("float", 1.0, help="oscillator frequency"),
-        "hbar": _Param("float", 1.0, help="reduced Planck constant"),
-        "rel_tol": _Param("float", 1e-10, help="relative truncation tolerance"),
-        "max_terms": _Param("int", 10_000_000, help="term cap for the adaptive sum"),
-    }, columns=("level", "occupation"), run=_run_stats),
-    "bounds": _Kind("reduced series against its analytic ceiling", {
-        "stat": _Param("stat", required=True, help="bose or fermi"),
-        "mu": _Param("float", 0.0, help="chemical potential"),
-        "rel_tol": _Param("float", 1e-10, help="relative truncation tolerance"),
-        "max_terms": _Param("int", 10_000_000, help="term cap for the adaptive sum"),
-    }, columns=("mu", "S_numeric", "tail_bound", "lemma_bound", "pass"), run=_run_bounds),
+    "spectrum": _Kind("ladder energies, effective frequencies and accessibility",
+                      _take("omega hbar mu qmax"),
+                      columns=("q", "energy", "omega_eff", "accessible"), run=_run_spectrum),
+    "gas": _Kind("joint translational-vibrational levels and thresholds",
+                 _take("omega hbar mass box_length mu kmax qmax"),
+                 columns=("k", "q", "energy", "effective_term", "q_min_k"), run=_run_gas),
+    "chain": _Kind("normal-mode frequencies and assignment energies",
+                   _take("omega hbar count coupling mu levels"),
+                   columns=("s", "omega_s"), run=_run_chain),
+    "stats": _Kind("mean occupations of one ladder",
+                   _take("stat beta mu omega hbar rel_tol max_terms"),
+                   columns=("level", "occupation"), run=_run_stats),
+    "bounds": _Kind("reduced series against its analytic ceiling",
+                    _take("stat mu rel_tol max_terms"),
+                    columns=("mu", "S_numeric", "tail_bound", "lemma_bound", "pass"),
+                    run=_run_bounds),
+    # The oracle's own qmax replaces the shared entry in place, so its flag order holds.
     "oracle": _Kind("closed-form occupations against brute-force enumeration", {
-        "stat": _Param("stat", required=True, help="bose or fermi"),
-        "beta": _Param("float", 1.0, help="inverse temperature"),
-        "mu": _Param("float", 0.0, help="chemical potential"),
-        "omega": _Param("float", 1.0, help="oscillator frequency"),
-        "hbar": _Param("float", 1.0, help="reduced Planck constant"),
+        **_take("stat beta mu omega hbar qmax cutoff energies"),
         "qmax": _Param("int", 4, help="ladder modes 0..qmax when no energies given", least=0),
-        "cutoff": _Param("int", 8, help="per-mode count cap for Bose enumeration"),
-        "energies": _Param("float_list", None, help="explicit mode energies, e.g. 0.5,1.5"),
     }, columns=("mode", "closed_form", "oracle_value", "abs_error"), run=_run_oracle),
 }
 

@@ -36,11 +36,17 @@ JOB_ARGS = {
 
 
 def run_to_file(args, tmp_path, name="out.csv"):
-    # Io flags sit on the outer parser, so for sweep they must come before
-    # the inner subcommand; right after the kind works for every job.
+    # Io flags belong to the outer word of argv, so for sweep they must come
+    # before the inner job's kind; right after the kind works for every job.
     target = tmp_path / name
     code = main(args[:1] + ["-o", str(target)] + args[1:])
     return code, target
+
+
+def without_flag(args, flag):
+    """``args`` less ``flag`` and the value after it."""
+    i = args.index(flag)
+    return args[:i] + args[i + 2:]
 
 
 def parse_csv(text):
@@ -151,8 +157,8 @@ def test_reruns_are_byte_identical(kind, tmp_path, capsys):
 @pytest.mark.parametrize(
     "args",
     [JOB_ARGS[kind] for kind in sorted(cli._KINDS)]
-    + [["sweep", "--param", "mu", "--start", "0", "--stop", "0.4", "--steps", "2"] + JOB_ARGS[kind]
-       for kind in sorted(cli._KINDS)],
+    + [["sweep", "--param", "mu", "--start", "0", "--stop", "0.4", "--steps", "2"]
+       + without_flag(JOB_ARGS[kind], "--mu") for kind in sorted(cli._KINDS)],
     ids=sorted(cli._KINDS) + [f"sweep-{kind}" for kind in sorted(cli._KINDS)],
 )
 def test_report_rows_are_tuples_of_ints_floats_and_bools(args):
@@ -705,11 +711,41 @@ def test_sweep_help_names_its_flags(capsys):
     assert help_flags(["sweep"], capsys) >= kind_flags(cli._SWEEP_PARAMS) | IO_FLAGS
 
 
+def test_sweep_help_shows_the_inner_job_and_names_every_kind(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^usage: openosc sweep .* KIND \[--flag VALUE \.\.\.\]$", out, re.MULTILINE)
+    assert set(re.findall(r"\b[a-z]+\b", out)) >= set(cli._KINDS)
+
+
 @pytest.mark.parametrize("kind", sorted(cli._KINDS))
 def test_sweep_inner_help_names_the_inner_flags(kind, capsys):
-    # The io flags belong to the sweep itself, not to its inner job.
+    # The io flags belong to the sweep itself, not to its inner job, and the
+    # grid alone sets the swept parameter.
     argv = ["sweep", "--param", "mu", "--start", "0", "--stop", "1", kind]
-    assert help_flags(argv, capsys) >= kind_flags(cli._KINDS[kind].params)
+    shown = help_flags(argv, capsys)
+    assert shown >= kind_flags(cli._KINDS[kind].params) - {"--mu"}
+    assert "--mu" not in shown
+
+
+@pytest.mark.parametrize(
+    "sweep, message",
+    [
+        ([], "missing required parameter 'start' for 'sweep'"),
+        (["--param", "beta", "--start", "0", "--stop", "1"],
+         "sweep parameter 'beta' is not a numeric parameter of 'spectrum'"),
+    ],
+    ids=["no-start", "not-a-parameter"],
+)
+def test_an_inner_help_page_needs_the_sweeps_own_flags(sweep, message, capsys):
+    # The inner page depends on the swept parameter, so the sweep's flags
+    # are merged and the swept name checked first; an error replaces the page.
+    assert main(["sweep", *sweep, "spectrum", "--help"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"]["message"] == message
 
 
 HELP_PAGES = {
@@ -1003,6 +1039,44 @@ def test_unparsable_config_file_is_a_usage_error(content, expected, tmp_path, ca
     assert main(["stats", "--stat", "fermi", "--config", str(cfg)]) == 2
     message = json.loads(capsys.readouterr().err)["error"]["message"]
     assert message.startswith(expected.format(str(cfg)))
+
+
+def test_sweep_inner_job_refuses_the_swept_flag(tmp_path, monkeypatch, capsys):
+    # The grid alone sets the swept parameter; an inner --mu was once
+    # dropped without a word.
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "--param", "mu", "--start", "0", "--stop", "1", "--steps", "2",
+            "-o", "out.csv", "spectrum", "--mu", "5", "--qmax", "0"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"]["message"] == "unknown flag '--mu' for 'sweep spectrum'"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_inner_config_refuses_the_swept_key(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "param": "mu", "start": 0, "stop": 1, "steps": 2, "output": "out.csv",
+        "job": {"kind": "spectrum", "qmax": 0, "mu": 5},
+    }))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"]["message"] == "unknown config key 'mu' for job kind 'spectrum'"
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.json"]
+
+
+def test_sweep_config_errors_come_before_inner_flag_errors(capsys):
+    # The inner job is read after the sweep's own parameters are merged.
+    argv = ["sweep", "--start", "0", "--stop", "1", "--steps", "0", "spectrum", "--bogus", "1"]
+    assert main(argv) == 3
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == (
+        "steps must be a positive integer, got 0"
+    )
 
 
 def test_sweep_inner_job_from_config(tmp_path):
